@@ -44,7 +44,6 @@ from .engine import (  # noqa: E402
     World,
     boot,
     run,
-    step,
 )
 from .faults import FaultEngine, FaultKind, FaultSpec  # noqa: E402
 from .monitor import (  # noqa: E402
@@ -62,7 +61,6 @@ from .scenario import (  # noqa: E402
     ParseError,
     Scenario,
     ScenarioError,
-    ScenarioInvalid,
     ValidationError,
     load_scenario,
     load_scenario_file,
@@ -125,7 +123,6 @@ __all__ = [
     "Report",
     "SimInternalError",
     "boot",
-    "step",
     "run",
     # scenarios
     "Scenario",
@@ -134,7 +131,6 @@ __all__ = [
     "ScenarioError",
     "ParseError",
     "ValidationError",
-    "ScenarioInvalid",
     "load_scenario",
     "load_scenario_file",
     "parse_instruction",

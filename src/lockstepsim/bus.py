@@ -73,8 +73,7 @@ class BusTransaction:
 
     ``data`` is the write payload and is forced to zero for reads so that
     compare-matrix equality over (kind, address, data) is well defined.
-    ``block_id`` / ``cycle`` / ``response`` are bookkeeping and never take
-    part in equality.
+    ``block_id`` and ``cycle`` are bookkeeping; :func:`tx_equal` ignores them.
     """
 
     block_id: int
@@ -82,15 +81,10 @@ class BusTransaction:
     kind: TxKind
     address: int
     data: int = 0
-    response: Optional[int] = None
 
     def __post_init__(self):
         self.address &= WORD_MASK
         self.data = 0 if self.kind is TxKind.READ else self.data & WORD_MASK
-
-    @property
-    def pending(self) -> bool:
-        return self.response is None
 
     def vote_key(self):
         return (self.kind, self.address, self.data)

@@ -128,17 +128,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "validate":
             return _cmd_validate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_INTERNAL
+        return _cmd_sweep(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO_ERROR

@@ -39,10 +39,8 @@ from .bus import (
     LOCKSTEP_SYNC_ADDRESS,
     BusTransaction,
     MemoryMap,
-    Region,
     TxKind,
     UnmappedAddress,
-    classify_address,
 )
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
@@ -100,7 +98,7 @@ class World:
         ]
         self.fault_engine = FaultEngine(list(scenario.faults))
         for b in self.blocks:
-            b.safe_fetch_hook = self.fault_engine.make_hook(b.block_id)
+            b.safe_fetch_hook = self.fault_engine.on_safe_fetch
         self.trace_enabled = trace_enabled
         self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
@@ -521,10 +519,6 @@ def boot(scenario: Scenario, seed: Optional[int] = None, trace_enabled: bool = T
     world = World(scenario, seed=seed, trace_enabled=trace_enabled)
     world.boot()
     return world
-
-
-def step(world: World) -> None:
-    world.step()
 
 
 def run(

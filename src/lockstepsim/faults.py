@@ -6,14 +6,15 @@ voter, the lockstep RAM and the trace writer are never touched, so masking
 and detection outcomes are attributable to the architecture, not the harness.
 
 Activation windows are either an absolute cycle or "when the target is about
-to execute the k-th safe-program instruction".  Bit flips are single upsets:
-armed by their window, consumed by the next data transaction, then done.
+to execute the k-th safe-program instruction".  Each scheduled fault fires
+once.  Bit flips are single upsets: armed by their window, consumed by the
+next data transaction, then gone.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -54,30 +55,34 @@ class FaultSpec:
     program: Optional[Tuple[Instruction, ...]] = None
 
 
-@dataclass
-class _FaultState:
-    spec: FaultSpec
-    index: int
-    done: bool = False
-
-
 class FaultEngine:
     """Holds all fault state for one world and exposes the three hook points
     the engine drives: cycle-start activation, safe-instruction-fetch
-    activation, and outgoing-transaction filtering."""
+    activation, and outgoing-transaction filtering.
+
+    Each scheduled fault sits in one schedule until it activates and leaves
+    it then, so every fault fires once."""
 
     def __init__(self, specs: List[FaultSpec]):
-        self.states = [_FaultState(spec=s, index=i) for i, s in enumerate(specs)]
+        # cycle-windowed faults as (at_cycle, target, declaration index, spec),
+        # latest first so that the due ones pop off the end
+        self._by_cycle: List[Tuple[int, int, int, FaultSpec]] = []
+        # instruction-windowed faults by (target, safe index), declaration order
+        self._by_fetch: Dict[Tuple[int, int], List[FaultSpec]] = {}
+        for i, s in enumerate(specs):
+            if s.at_cycle is not None:
+                self._by_cycle.append((s.at_cycle, s.target, i, s))
+            else:
+                self._by_fetch.setdefault((s.target, s.at_safe_instr), []).append(s)
+        self._by_cycle.sort(reverse=True)
         self.suppressed: set = set()
-        self._armed_flips: Dict[int, List[_FaultState]] = {}
-        self._pending_divergent: Dict[int, _FaultState] = {}
+        self._armed_flips: Dict[int, List[FaultSpec]] = {}
+        self._pending_divergent: Dict[int, FaultSpec] = {}
         self.pending_events: List[Tuple[int, dict]] = []  # (target, detail)
 
     # -- activation ----------------------------------------------------------
 
-    def _activate(self, st: _FaultState, block: ProcessingBlock, via: str, safe_idx=None):
-        spec = st.spec
-        st.done = True
+    def _activate(self, spec: FaultSpec, block: ProcessingBlock, via: str, safe_idx=None):
         detail = {"fault": spec.kind.value, "window": via}
         if spec.kind is FaultKind.NO_SHOW:
             block.ignore_irq = True
@@ -89,61 +94,39 @@ class FaultEngine:
         elif spec.kind is FaultKind.DIVERGENT_PROGRAM:
             if safe_idx is None:
                 # cycle-windowed: take effect at the next safe fetch
-                self._pending_divergent[block.block_id] = st
+                self._pending_divergent[block.block_id] = spec
                 detail["deferred"] = 1
             else:
                 block.safe_override = (safe_idx, list(spec.program or ()))
                 detail["at_safe_instr"] = safe_idx
         else:  # bit flips: arm for the next data transaction
-            st.done = False
-            self._armed_flips.setdefault(block.block_id, []).append(st)
+            self._armed_flips.setdefault(block.block_id, []).append(spec)
             detail["bit"] = spec.bit
         self.pending_events.append((block.block_id, detail))
 
     def on_cycle_start(self, cycle: int, blocks: List[ProcessingBlock]) -> List[Tuple[int, dict]]:
         """Activate every cycle-windowed fault whose time has come.  Returns
         (target, detail) pairs ordered by target id for the trace."""
-        due = [
-            st
-            for st in self.states
-            if not st.done
-            and st.spec.at_cycle is not None
-            and cycle >= st.spec.at_cycle
-            and not self._is_armed(st)
-        ]
-        due.sort(key=lambda st: (st.spec.target, st.index))
-        for st in due:
-            self._activate(st, blocks[st.spec.target], via="cycle")
+        due = []
+        while self._by_cycle and self._by_cycle[-1][0] <= cycle:
+            due.append(self._by_cycle.pop())
+        due.sort(key=lambda entry: entry[1:3])  # (target, declaration index)
+        for _, target, _, spec in due:
+            self._activate(spec, blocks[target], via="cycle")
         events, self.pending_events = self.pending_events, []
         return events
 
-    def _is_armed(self, st: _FaultState) -> bool:
-        for lst in self._armed_flips.values():
-            if st in lst:
-                return True
-        return False
-
-    def make_hook(self, block_id: int):
+    def on_safe_fetch(self, block: ProcessingBlock, safe_idx: int) -> None:
         """Fetch-time hook for instruction-windowed activation, installed on
         each block; fires just before the k-th safe instruction executes."""
-
-        def hook(block: ProcessingBlock, safe_idx: int):
-            pending = self._pending_divergent.pop(block.block_id, None)
-            if pending is not None:
-                block.safe_override = (safe_idx, list(pending.spec.program or ()))
-                self.pending_events.append(
-                    (block.block_id, {"fault": pending.spec.kind.value, "window": "cycle", "applied_at": safe_idx})
-                )
-            for st in self.states:
-                if (
-                    not st.done
-                    and st.spec.target == block.block_id
-                    and st.spec.at_safe_instr == safe_idx
-                    and not self._is_armed(st)
-                ):
-                    self._activate(st, block, via="safe_instr", safe_idx=safe_idx)
-
-        return hook
+        pending = self._pending_divergent.pop(block.block_id, None)
+        if pending is not None:
+            block.safe_override = (safe_idx, list(pending.program or ()))
+            self.pending_events.append(
+                (block.block_id, {"fault": pending.kind.value, "window": "cycle", "applied_at": safe_idx})
+            )
+        for spec in self._by_fetch.pop((block.block_id, safe_idx), ()):
+            self._activate(spec, block, via="safe_instr", safe_idx=safe_idx)
 
     # -- transaction filtering -------------------------------------------------
 
@@ -156,32 +139,29 @@ class FaultEngine:
         events: List[Tuple[int, dict]] = []
         if block_id in self.suppressed:
             return None, events
-        armed = self._armed_flips.get(block_id)
-        if armed and role == "data":
-            for st in list(armed):
-                spec = st.spec
-                before = tx.short()
-                if spec.kind is FaultKind.BIT_FLIP_DATA:
-                    tx = BusTransaction(
-                        tx.block_id, tx.cycle, tx.kind, tx.address, tx.data ^ (1 << spec.bit)
-                    )
-                else:
-                    tx = BusTransaction(
-                        tx.block_id, tx.cycle, tx.kind, tx.address ^ (1 << spec.bit), tx.data
-                    )
-                st.done = True
-                armed.remove(st)
-                events.append(
-                    (
-                        block_id,
-                        {
-                            "fault": spec.kind.value,
-                            "bit": spec.bit,
-                            "before": before,
-                            "after": tx.short(),
-                        },
-                    )
+        if role != "data":
+            return tx, events
+        for spec in self._armed_flips.pop(block_id, ()):
+            before = tx.short()
+            if spec.kind is FaultKind.BIT_FLIP_DATA:
+                tx = BusTransaction(
+                    tx.block_id, tx.cycle, tx.kind, tx.address, tx.data ^ (1 << spec.bit)
                 )
+            else:
+                tx = BusTransaction(
+                    tx.block_id, tx.cycle, tx.kind, tx.address ^ (1 << spec.bit), tx.data
+                )
+            events.append(
+                (
+                    block_id,
+                    {
+                        "fault": spec.kind.value,
+                        "bit": spec.bit,
+                        "before": before,
+                        "after": tx.short(),
+                    },
+                )
+            )
         return tx, events
 
     def drain_events(self) -> List[Tuple[int, dict]]:
@@ -215,9 +195,7 @@ class FaultEngine:
                 at_cycle=cycle,
                 bit=bit,
             )
-            self._armed_flips.setdefault(block.block_id, []).append(
-                _FaultState(spec=spec, index=-1)
-            )
+            self._armed_flips.setdefault(block.block_id, []).append(spec)
             events.append(
                 (block.block_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})
             )

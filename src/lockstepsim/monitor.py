@@ -22,7 +22,7 @@ monitor freezes and defers to the system-level safe-state transition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,10 +59,6 @@ class MoonConfig:
             f"n_required={n}, m_agree={m}: need 2-out-of-2 or odd n >= 3 "
             "with a strict majority m"
         )
-
-    @property
-    def mode(self) -> MoonMode:
-        return self.validate()
 
 
 class SyncState(Enum):
@@ -145,7 +141,6 @@ class LockstepMonitor:
     def __init__(self, n_blocks: int):
         self.n_blocks = n_blocks
         self.config: Optional[MoonConfig] = None
-        self.mode: Optional[MoonMode] = None
         self.sync_state = SyncState.IDLE
         self.enabled = [False] * n_blocks
         self.arrived: List[Tuple[int, int]] = []  # (cycle, block_id) in order
@@ -166,9 +161,9 @@ class LockstepMonitor:
                 f"n_required={config.n_required} exceeds attached blocks "
                 f"({self.n_blocks})"
             )
-        self.mode = config.validate()
+        mode = config.validate()
         self.config = config
-        return self.mode
+        return mode
 
     def request_sp(self, cycle: int) -> bool:
         """Start a session if idle.  Returns False when a session already

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import yaml
 
@@ -80,10 +80,6 @@ class ValidationError(ScenarioError):
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path
         super().__init__(f"{field_path}: {message}")
-
-
-# Structural-validation failures at boot reuse the same shape.
-ScenarioInvalid = ValidationError
 
 
 @dataclass(frozen=True)
@@ -178,17 +174,37 @@ def format_instruction(instr: Instruction) -> str:
 # -- loading -------------------------------------------------------------------
 
 
-def _require(mapping: Dict, key: str, where: str):
+def _require(mapping: Dict, key: str, path: str):
     if key not in mapping:
-        raise ValidationError(f"{where}{key}" if where.endswith(".") or not where else key, "missing")
+        raise ValidationError(f"{path}{key}", "missing")
     return mapping[key]
 
 
 def _int_field(mapping: Dict, key: str, path: str) -> int:
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}{key}" if path else key, f"expected integer, got {value!r}")
+        raise ValidationError(f"{path}{key}", f"expected integer, got {value!r}")
     return value
+
+
+def _list_field(mapping: Dict, key: str) -> List:
+    value = mapping.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValidationError(key, "must be a list")
+    return value
+
+
+def _program(value, where: str) -> List[Instruction]:
+    if not isinstance(value, list):
+        raise ValidationError(where, "must be a list of instruction strings")
+    instrs = []
+    for j, raw in enumerate(value):
+        if not isinstance(raw, str):
+            raise ValidationError(f"{where}[{j}]", "must be a string")
+        instrs.append(parse_instruction(raw, f"{where}[{j}]"))
+    return instrs
 
 
 def load_scenario(text: str) -> Scenario:
@@ -265,28 +281,11 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     programs_doc = _require(doc, "programs", "")
     if not isinstance(programs_doc, list):
         raise ValidationError("programs", "must be a list of programs")
-    programs = []
-    for i, prog in enumerate(programs_doc):
-        if not isinstance(prog, list):
-            raise ValidationError(f"programs[{i}]", "must be a list of instruction strings")
-        instrs = []
-        for j, raw in enumerate(prog):
-            if not isinstance(raw, str):
-                raise ValidationError(f"programs[{i}][{j}]", "must be a string")
-            instrs.append(parse_instruction(raw, f"programs[{i}][{j}]"))
-        programs.append(instrs)
-
-    safe_doc = _require(doc, "safe_program", "")
-    if not isinstance(safe_doc, list):
-        raise ValidationError("safe_program", "must be a list of instruction strings")
-    safe_program = []
-    for j, raw in enumerate(safe_doc):
-        if not isinstance(raw, str):
-            raise ValidationError(f"safe_program[{j}]", "must be a string")
-        safe_program.append(parse_instruction(raw, f"safe_program[{j}]"))
+    programs = [_program(prog, f"programs[{i}]") for i, prog in enumerate(programs_doc)]
+    safe_program = _program(_require(doc, "safe_program", ""), "safe_program")
 
     triggers = []
-    for i, trig in enumerate(doc.get("triggers") or []):
+    for i, trig in enumerate(_list_field(doc, "triggers")):
         if not isinstance(trig, dict):
             raise ValidationError(f"triggers[{i}]", "must be a mapping")
         cycle = _int_field(trig, "cycle", f"triggers[{i}].")
@@ -297,9 +296,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
             raise ValidationError(f"triggers[{i}].source", f"unknown source {source_raw!r}") from None
         triggers.append(ExternalTrigger(cycle=cycle, source=source))
 
-    faults = []
-    for i, fdoc in enumerate(doc.get("faults") or []):
-        faults.append(_fault_from_dict(fdoc, i))
+    faults = [_fault_from_dict(fdoc, i) for i, fdoc in enumerate(_list_field(doc, "faults"))]
 
     flags_doc = doc.get("flags") or {}
     if not isinstance(flags_doc, dict):
@@ -307,7 +304,10 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     for key in flags_doc:
         if key != "random_selection":
             raise ValidationError(f"flags.{key}", "unknown flag")
-    flags = Flags(random_selection=bool(flags_doc.get("random_selection", False)))
+    random_selection = flags_doc.get("random_selection", False)
+    if not isinstance(random_selection, bool):
+        raise ValidationError("flags.random_selection", "must be true or false")
+    flags = Flags(random_selection=random_selection)
 
     irq_latency = doc.get("irq_latency")
     if irq_latency is not None:
@@ -361,21 +361,13 @@ def _fault_from_dict(fdoc, i: int) -> FaultSpec:
         raise ValidationError(f"{where}.kind", f"unknown fault kind {kind_raw!r}") from None
     program = None
     if fdoc.get("program") is not None:
-        prog_doc = fdoc["program"]
-        if not isinstance(prog_doc, list):
-            raise ValidationError(f"{where}.program", "must be a list of instruction strings")
-        program = tuple(
-            parse_instruction(raw, f"{where}.program[{j}]") for j, raw in enumerate(prog_doc)
-        )
-    return FaultSpec(
-        target=target,
-        kind=kind,
-        at_cycle=fdoc.get("at_cycle"),
-        at_safe_instr=fdoc.get("at_safe_instr"),
-        bit=fdoc.get("bit"),
-        delay=fdoc.get("delay"),
-        program=program,
-    )
+        program = tuple(_program(fdoc["program"], f"{where}.program"))
+    numbers = {
+        key: _int_field(fdoc, key, where + ".")
+        for key in ("at_cycle", "at_safe_instr", "bit", "delay")
+        if fdoc.get(key) is not None
+    }
+    return FaultSpec(target=target, kind=kind, program=program, **numbers)
 
 
 # -- validation ----------------------------------------------------------------

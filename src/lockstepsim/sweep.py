@@ -29,7 +29,7 @@ from .bus import IO_BASE, LS_RAM_BASE
 from .engine import Report, run
 from .faults import FaultKind, FaultSpec
 from .monitor import MoonConfig
-from .scenario import Flags, Scenario, ScenarioError, format_instruction
+from .scenario import Flags, Scenario, ScenarioError
 
 DEFAULT_SAFE_PROGRAM: Tuple[Instruction, ...] = (
     Write(LS_RAM_BASE, 7),
@@ -324,11 +324,8 @@ def fault_sweep(
         for label, spec in singles[t]:
             run_point((spec,), (label,), (t,))
     if max_simultaneous >= 2:
-        pair_catalog = {
-            t: placement_catalog(t, len(safe), placements) for t in group
-        }
         for a, b in itertools.combinations(group, 2):
-            for (la, sa), (lb, sb) in itertools.product(pair_catalog[a], pair_catalog[b]):
+            for (la, sa), (lb, sb) in itertools.product(singles[a], singles[b]):
                 run_point((sa, sb), (la, lb), (a, b))
     return result
 
@@ -393,8 +390,3 @@ def load_sweep_file(path: str) -> SweepResult:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"sweep spec is not valid YAML: {exc}") from None
     return sweep_from_dict(doc)
-
-
-def describe_safe_program() -> List[str]:
-    """Human-readable default safe program (for docs and CLI help)."""
-    return [format_instruction(i) for i in DEFAULT_SAFE_PROGRAM]

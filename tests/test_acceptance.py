@@ -25,6 +25,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import pytest
+
 from lockstepsim import (
     LS_RAM_BASE,
     BusTransaction,
@@ -147,6 +149,18 @@ def test_criterion_1_reference_trace():
             assert e.detail["block"] != 0
     assert report.sessions[0]["accepted"] == [1, 2]
     assert report.sessions[0]["rejected"] == [0]
+
+
+# Traces of the bundled scenarios that inject faults, frozen like fig5's so
+# that a change to the fault engine cannot move a byte unnoticed.
+FAULT_GOLDENS = ("masking_2oo3", "detect_divergent", "exit_timeout", "timeout", "soak_noise")
+
+
+@pytest.mark.parametrize("name", FAULT_GOLDENS)
+def test_fault_scenario_trace_matches_golden(name):
+    report = bundled_report(f"{name}.scn")
+    golden = (GOLDEN_DIR / f"{name}_trace.jsonl").read_bytes()
+    assert emit_trace(report.trace, "jsonl") == golden, f"{name}: trace drifted from golden file"
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_regions_are_disjoint_and_adjacent():
 
 def test_vote_key_ignores_bookkeeping():
     a = BusTransaction(0, 10, TxKind.WRITE, 0x10000, 7)
-    b = BusTransaction(3, 99, TxKind.WRITE, 0x10000, 7, response=1)
+    b = BusTransaction(3, 99, TxKind.WRITE, 0x10000, 7)
     assert tx_equal(a, b)
     assert a.vote_key() == b.vote_key()
 
@@ -86,13 +86,6 @@ def test_read_data_forced_to_zero():
     tx = BusTransaction(0, 1, TxKind.READ, 0x10000, 12345)
     assert tx.data == 0
     assert tx_equal(tx, BusTransaction(1, 2, TxKind.READ, 0x10000, 0))
-
-
-def test_pending_until_response():
-    tx = BusTransaction(0, 1, TxKind.WRITE, 0x100, 1)
-    assert tx.pending
-    tx.response = 0
-    assert not tx.pending
 
 
 def test_short_form():

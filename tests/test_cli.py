@@ -73,6 +73,16 @@ def test_run_invalid_scenario_exits_three(tmp_path, capsys):
     assert "n_blocks" in capsys.readouterr().err  # field path in the diagnostic
 
 
+def test_run_mistyped_fault_field_exits_three(tmp_path, capsys):
+    bad = tmp_path / "bad_bit.scn"
+    bad.write_text(Path(TIMEOUT).read_text().replace(
+        "{target: 2, kind: no_show, at_cycle: 1}",
+        '{target: 2, kind: bit_flip_data, at_cycle: 1, bit: "x"}',
+    ))
+    assert main(["run", str(bad)]) == EXIT_SCENARIO_ERROR
+    assert "faults[0].bit" in capsys.readouterr().err
+
+
 def test_run_internal_fault_exits_four(tmp_path, capsys):
     # both halves of a 2oo2 group corrupt the same address bit, so the voted
     # bus unanimously agrees on an unmapped address

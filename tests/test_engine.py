@@ -31,7 +31,6 @@ from lockstepsim import (
     boot,
     load_scenario_file,
     run,
-    step,
 )
 from lockstepsim.scenario import ExternalTrigger
 from lockstepsim.trace import audit_event_order, audit_system_path
@@ -150,7 +149,7 @@ def test_step_after_safe_state_is_an_internal_error():
     scenario.boot_check = "fail"
     world = boot(scenario)
     with pytest.raises(SimInternalError):
-        step(world)
+        world.step()
 
 
 def test_max_cycles_zero_runs_no_cycle():

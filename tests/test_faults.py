@@ -78,15 +78,68 @@ def test_instruction_window_activates_via_fetch_hook():
         [FaultSpec(target=0, kind=FaultKind.BIT_FLIP_DATA, at_safe_instr=1, bit=2)]
     )
     blocks = make_blocks()
-    hook = eng.make_hook(0)
-    hook(blocks[0], 0)
+    eng.on_safe_fetch(blocks[0], 0)
     assert eng.drain_events() == []  # wrong index: not yet
-    hook(blocks[0], 1)
+    eng.on_safe_fetch(blocks[0], 1)
     events = eng.drain_events()
     assert events[0][1]["window"] == "safe_instr"
     tx, flip_events = eng.filter_tx(0, data_tx(7), "data")
     assert tx.data == 7 ^ 4
     assert flip_events[0][1]["before"] != flip_events[0][1]["after"]
+
+
+def test_due_faults_activate_in_target_then_declaration_order():
+    eng = FaultEngine(
+        [
+            FaultSpec(target=2, kind=FaultKind.NO_SHOW, at_cycle=3),
+            FaultSpec(target=1, kind=FaultKind.START_JITTER, at_cycle=0, delay=2),
+            FaultSpec(target=2, kind=FaultKind.BIT_FLIP_DATA, at_cycle=1, bit=0),
+            FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_cycle=3),
+            FaultSpec(target=1, kind=FaultKind.NO_SHOW, at_cycle=2),
+            FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_cycle=9),
+        ]
+    )
+    blocks = make_blocks(3)
+    # the first call comes at cycle 3: the faults of cycles 0..2 are overdue
+    events = eng.on_cycle_start(3, blocks)
+    assert [(target, d["fault"]) for target, d in events] == [
+        (0, "stuck_silent"),
+        (1, "start_jitter"),
+        (1, "no_show"),
+        (2, "no_show"),
+        (2, "bit_flip_data"),
+    ]
+    assert eng.on_cycle_start(4, blocks) == []
+    assert eng.on_cycle_start(9, blocks) == [(0, {"fault": "no_show", "window": "cycle"})]
+
+
+def test_instruction_window_fires_on_first_fetch_only():
+    alt = (Write(0x10004, 9),)
+    eng = FaultEngine(
+        [
+            FaultSpec(target=0, kind=FaultKind.BIT_FLIP_DATA, at_safe_instr=1, bit=2),
+            FaultSpec(
+                target=1, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=1, program=alt
+            ),
+        ]
+    )
+    blocks = make_blocks()
+    eng.on_safe_fetch(blocks[0], 1)
+    eng.on_safe_fetch(blocks[0], 1)  # fetched again while the flip is still armed
+    assert len(eng.drain_events()) == 1
+    tx, events = eng.filter_tx(0, data_tx(7), "data")
+    assert tx.data == 7 ^ 4 and len(events) == 1
+    eng.on_safe_fetch(blocks[0], 1)  # a later session fetches the same instruction
+    assert eng.drain_events() == []
+    tx, events = eng.filter_tx(0, data_tx(7), "data")
+    assert tx.data == 7 and events == []
+
+    eng.on_safe_fetch(blocks[1], 1)
+    assert blocks[1].safe_override == (1, list(alt))
+    blocks[1].safe_override = None
+    eng.on_safe_fetch(blocks[1], 1)
+    assert blocks[1].safe_override is None
+    assert len(eng.drain_events()) == 1
 
 
 # -- bit flips -----------------------------------------------------------------------
@@ -129,6 +182,18 @@ def test_flips_never_touch_protocol_reads():
     assert tx.data == 7
 
 
+def test_cycle_flip_armed_for_many_cycles_fires_once():
+    eng = FaultEngine(
+        [FaultSpec(target=0, kind=FaultKind.BIT_FLIP_DATA, at_cycle=2, bit=0)]
+    )
+    blocks = make_blocks()
+    events = [e for c in range(1, 40) for e in eng.on_cycle_start(c, blocks)]
+    assert events == [(0, {"fault": "bit_flip_data", "window": "cycle", "bit": 0})]
+    flipped = [eng.filter_tx(0, data_tx(6), "data")[0].data for _ in range(3)]
+    assert flipped == [7, 6, 6]
+    assert [e for c in range(40, 60) for e in eng.on_cycle_start(c, blocks)] == []
+
+
 def test_two_armed_flips_stack_on_one_transaction():
     eng = FaultEngine(
         [
@@ -156,8 +221,7 @@ def test_divergent_at_instruction_swaps_remaining_stream():
         ]
     )
     blocks = make_blocks()
-    hook = eng.make_hook(0)
-    hook(blocks[0], 1)
+    eng.on_safe_fetch(blocks[0], 1)
     assert blocks[0].safe_override == (1, list(alt))
 
 
@@ -170,8 +234,7 @@ def test_divergent_at_cycle_defers_to_next_fetch():
     events = eng.on_cycle_start(1, blocks)
     assert events[0][1].get("deferred") == 1
     assert blocks[0].safe_override is None
-    hook = eng.make_hook(0)
-    hook(blocks[0], 0)
+    eng.on_safe_fetch(blocks[0], 0)
     assert blocks[0].safe_override == (0, list(alt))
     assert eng.drain_events()[0][1]["applied_at"] == 0
 

@@ -161,6 +161,9 @@ def test_minimal_scenario_loads():
         (variant(triggers=[{"cycle": 0, "source": "external_in_scope"}]), "triggers[0]"),
         (variant(triggers=[{"cycle": 5, "source": "app_triggered"}]), "triggers[0]"),
         (variant(triggers=[{"cycle": 5, "source": "martian"}]), "triggers[0]"),
+        (variant(triggers=5), "triggers: must be a list"),
+        (variant(faults=5), "faults: must be a list"),
+        (variant(flags={"random_selection": "no"}), "flags.random_selection"),
     ],
 )
 def test_validation_errors_name_the_field(text, path_fragment):
@@ -235,6 +238,18 @@ def fault_variant(fault):
         ),
         ({"target": 0, "kind": "bit_flip_data", "at_safe_instr": 5, "bit": 1}, "at_safe_instr"),
         ({"target": 0, "kind": "bit_flip_data", "at_cycle": 1, "bit": 1, "zz": 1}, "zz"),
+        ({"target": 0, "kind": "bit_flip_data", "at_cycle": 1, "bit": "x"}, "faults[0].bit"),
+        ({"target": 0, "kind": "bit_flip_data", "at_cycle": 1, "bit": True}, "faults[0].bit"),
+        ({"target": 0, "kind": "no_show", "at_cycle": "1"}, "faults[0].at_cycle"),
+        ({"target": 0, "kind": "start_jitter", "at_cycle": 1, "delay": 2.5}, "faults[0].delay"),
+        (
+            {"target": 0, "kind": "bit_flip_data", "at_safe_instr": 0.5, "bit": 1},
+            "faults[0].at_safe_instr",
+        ),
+        (
+            {"target": 0, "kind": "divergent_program", "at_cycle": 1, "program": [5]},
+            "faults[0].program[0]",
+        ),
     ],
 )
 def test_fault_validation(fault, fragment):
