@@ -31,6 +31,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__ as VERSION
@@ -463,7 +464,7 @@ class Report:
     scenario_name: str
     effective_seed: int
     version: str
-    scenario_hash: str
+    scenario: Scenario = field(repr=False, compare=False)
     boot_result: str
     final_state: str
     end_reason: str
@@ -479,6 +480,11 @@ class Report:
     io_log: List[int]
     memory_digest: str
     trace: List[TraceEvent] = field(repr=False, default_factory=list)
+
+    @cached_property
+    def scenario_hash(self) -> str:
+        """Digest of the scenario, computed on first read: sweeps never read it."""
+        return scenario_digest(self.scenario)
 
     def to_dict(self) -> Dict:
         return {
@@ -535,7 +541,7 @@ def run(
         scenario_name=scenario.name,
         effective_seed=world.effective_seed,
         version=VERSION,
-        scenario_hash=scenario_digest(scenario),
+        scenario=scenario,
         boot_result=world.boot_result or "pass",
         final_state=world.system_state.value,
         end_reason=world.end_reason or "max_cycles",

@@ -64,6 +64,11 @@ from .bus import (
 from .faults import INSTRUCTION_WINDOW_KINDS, FaultKind, FaultSpec
 from .monitor import InvalidConfig, MoonConfig
 
+# libyaml when PyYAML was built with it; both give the same documents and the
+# same dumped bytes, so digests do not depend on which one is present.
+Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 
 class ScenarioError(Exception):
     """Base for everything the CLI maps to exit code 3."""
@@ -187,12 +192,13 @@ def _int_field(mapping: Dict, key: str, path: str) -> int:
     return value
 
 
-def _list_field(mapping: Dict, key: str) -> List:
+def _optional_field(mapping: Dict, key: str, kind: type):
+    """An optional top-level list or dict: missing or null is empty."""
     value = mapping.get(key)
     if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ValidationError(key, "must be a list")
+        return kind()
+    if not isinstance(value, kind):
+        raise ValidationError(key, "must be a list" if kind is list else "must be a mapping")
     return value
 
 
@@ -210,7 +216,7 @@ def _program(value, where: str) -> List[Instruction]:
 def load_scenario(text: str) -> Scenario:
     """Parse and fully validate scenario text."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         line = mark.line + 1 if mark else 1
@@ -285,7 +291,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     safe_program = _program(_require(doc, "safe_program", ""), "safe_program")
 
     triggers = []
-    for i, trig in enumerate(_list_field(doc, "triggers")):
+    for i, trig in enumerate(_optional_field(doc, "triggers", list)):
         if not isinstance(trig, dict):
             raise ValidationError(f"triggers[{i}]", "must be a mapping")
         cycle = _int_field(trig, "cycle", f"triggers[{i}].")
@@ -296,11 +302,10 @@ def scenario_from_dict(doc: Dict) -> Scenario:
             raise ValidationError(f"triggers[{i}].source", f"unknown source {source_raw!r}") from None
         triggers.append(ExternalTrigger(cycle=cycle, source=source))
 
-    faults = [_fault_from_dict(fdoc, i) for i, fdoc in enumerate(_list_field(doc, "faults"))]
+    faults_doc = _optional_field(doc, "faults", list)
+    faults = [_fault_from_dict(fdoc, i) for i, fdoc in enumerate(faults_doc)]
 
-    flags_doc = doc.get("flags") or {}
-    if not isinstance(flags_doc, dict):
-        raise ValidationError("flags", "must be a mapping")
+    flags_doc = _optional_field(doc, "flags", dict)
     for key in flags_doc:
         if key != "random_selection":
             raise ValidationError(f"flags.{key}", "unknown flag")
@@ -316,9 +321,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         ):
             raise ValidationError("irq_latency", "must be a list of integers")
 
-    noise_doc = doc.get("noise") or {}
-    if not isinstance(noise_doc, dict):
-        raise ValidationError("noise", "must be a mapping")
+    noise_doc = _optional_field(doc, "noise", dict)
     for key in noise_doc:
         if key != "flip_probability":
             raise ValidationError(f"noise.{key}", "unknown field")
@@ -544,7 +547,7 @@ def _fault_to_dict(f: FaultSpec) -> Dict:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    return yaml.safe_dump(scenario_to_dict(s), sort_keys=False, default_flow_style=False)
+    return yaml.dump(scenario_to_dict(s), Dumper=Dumper, sort_keys=False, default_flow_style=False)
 
 
 def scenario_digest(s: Scenario) -> str:

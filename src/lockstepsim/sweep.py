@@ -29,7 +29,7 @@ from .bus import IO_BASE, LS_RAM_BASE
 from .engine import Report, run
 from .faults import FaultKind, FaultSpec
 from .monitor import MoonConfig
-from .scenario import Flags, Scenario, ScenarioError
+from .scenario import Flags, Loader, Scenario, ScenarioError
 
 DEFAULT_SAFE_PROGRAM: Tuple[Instruction, ...] = (
     Write(LS_RAM_BASE, 7),
@@ -386,7 +386,7 @@ def load_sweep_file(path: str) -> SweepResult:
     except OSError as exc:
         raise ScenarioError(f"cannot read sweep spec: {exc}") from None
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"sweep spec is not valid YAML: {exc}") from None
     return sweep_from_dict(doc)

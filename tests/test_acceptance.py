@@ -39,7 +39,6 @@ from lockstepsim import (
     TriggerSource,
     TriggerSP,
     TxKind,
-    Write,
     emit_trace,
     load_scenario_file,
     run,

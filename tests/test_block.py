@@ -17,8 +17,6 @@ from lockstepsim import (
     Halt,
     ProcessingBlock,
     Read,
-    TriggerSource,
-    TriggerSP,
     TxKind,
     Write,
 )

@@ -83,6 +83,13 @@ def test_run_mistyped_fault_field_exits_three(tmp_path, capsys):
     assert "faults[0].bit" in capsys.readouterr().err
 
 
+def test_run_non_mapping_flags_exits_three(tmp_path, capsys):
+    bad = tmp_path / "flags_zero.scn"
+    bad.write_text(Path(TIMEOUT).read_text() + "flags: 0\n")
+    assert main(["run", str(bad)]) == EXIT_SCENARIO_ERROR
+    assert "flags: must be a mapping" in capsys.readouterr().err
+
+
 def test_run_internal_fault_exits_four(tmp_path, capsys):
     # both halves of a 2oo2 group corrupt the same address bit, so the voted
     # bus unanimously agrees on an unmapped address

@@ -8,6 +8,7 @@ regardless of group size."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -31,7 +32,9 @@ from lockstepsim import (
     boot,
     load_scenario_file,
     run,
+    scenario_digest,
 )
+from lockstepsim import engine
 from lockstepsim.scenario import ExternalTrigger
 from lockstepsim.trace import audit_event_order, audit_system_path
 
@@ -317,6 +320,24 @@ def test_identical_runs_share_identical_session_history():
     b = run(scenario)
     assert a.sessions == b.sessions
     assert a.memory_digest == b.memory_digest
+
+
+def test_scenario_digest_is_computed_on_first_read_only(monkeypatch):
+    calls = []
+
+    def counting_digest(scenario):
+        calls.append(scenario)
+        return scenario_digest(scenario)
+
+    monkeypatch.setattr(engine, "scenario_digest", counting_digest)
+    scenario = load_scenario_file(str(SCENARIO_DIR / "fig5.scn"))
+    report = run(scenario)
+    assert calls == []
+    first = report.to_json()
+    assert len(calls) == 1
+    assert report.to_json() == first
+    assert len(calls) == 1
+    assert json.loads(first)["scenario_hash"] == scenario_digest(scenario)
 
 
 # -- structural audits over every bundled scenario ----------------------------------------------

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from lockstepsim import (
     BusTransaction,
     Compute,

@@ -9,7 +9,6 @@ import random
 import pytest
 
 from lockstepsim import (
-    LOCKSTEP_SYNC_ADDRESS,
     BusTransaction,
     InvalidConfig,
     LockstepMonitor,

@@ -6,13 +6,14 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 
 from lockstepsim import (
     Compute,
+    FaultKind,
     Halt,
     ParseError,
     Read,
-    Scenario,
     ScenarioError,
     TriggerSource,
     TriggerSP,
@@ -24,7 +25,13 @@ from lockstepsim import (
     scenario_digest,
     serialize_scenario,
 )
-from lockstepsim.scenario import format_instruction, scenario_to_dict
+from lockstepsim.scenario import Loader, format_instruction, scenario_to_dict
+from lockstepsim.sweep import (
+    DEFAULT_SAFE_PROGRAM,
+    build_masking_scenario,
+    build_rendezvous_scenario,
+    placement_catalog,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
 
@@ -42,8 +49,6 @@ safe_program: ["write 0x10000 1"]
 
 def variant(**overrides) -> str:
     """MINIMAL with whole lines replaced or appended."""
-    import yaml
-
     doc = yaml.safe_load(MINIMAL)
     doc.update(overrides)
     return yaml.safe_dump(doc)
@@ -116,6 +121,23 @@ def test_yaml_syntax_error_carries_location():
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("name: [unclosed\nseed: 1\n", 2, 5),
+        ("a: b: c\n", 1, 5),
+        ("x:\n  - 1\n - 2\n", 3, 2),
+        ("\t- a\n", 1, 1),
+        ("a: 'x\n", 2, 1),
+    ],
+)
+def test_parse_error_location_is_exact(text, line, column):
+    with pytest.raises(ParseError) as exc:
+        load_scenario(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value).startswith(f"line {line}, column {column}: ")
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario_file(str(tmp_path / "nope.scn"))
@@ -164,12 +186,23 @@ def test_minimal_scenario_loads():
         (variant(triggers=5), "triggers: must be a list"),
         (variant(faults=5), "faults: must be a list"),
         (variant(flags={"random_selection": "no"}), "flags.random_selection"),
+        (variant(flags=[]), "flags: must be a mapping"),
+        (variant(flags=0), "flags: must be a mapping"),
+        (variant(noise=0), "noise: must be a mapping"),
+        (variant(noise=[]), "noise: must be a mapping"),
     ],
 )
 def test_validation_errors_name_the_field(text, path_fragment):
     with pytest.raises(ValidationError) as exc:
         load_scenario(text)
     assert path_fragment in str(exc.value)
+
+
+def test_null_optional_fields_are_absent():
+    s = load_scenario(variant(flags=None, noise=None, triggers=None, faults=None))
+    assert s.flags.random_selection is False
+    assert s.noise_flip_probability == 0.0
+    assert (s.triggers, s.faults) == ([], [])
 
 
 def test_n_blocks_below_n_required_names_n_blocks():
@@ -279,29 +312,61 @@ def test_valid_fault_catalogue_loads():
 # -- round trip and digest ----------------------------------------------------------------------
 
 
+# sha256 of each bundled scenario's serialized text, as computed with PyYAML's
+# pure-Python SafeDumper; the digest must not depend on which dumper is used.
+BUNDLED_DIGESTS = {
+    "boot_fail.scn": "2f23386b2ca08cdb66187b0c449f863b46c50c6828f40eb8b8331705e3af1c65",
+    "detect_divergent.scn": "83ac35bc67b3ff6e9ce363520db2f1e7f1e5ea9802720456ee67afa09fea5a12",
+    "exit_timeout.scn": "eb4045cef93b1348464132b359523a653ca06eba91a2a1e9a52b401f61d85f7d",
+    "fig5.scn": "e9b9810625f55fbbfba03bfa5cac76d0ed6d0506daf0e8b22a0b5b41316d0ff9",
+    "masking_2oo3.scn": "4cd526fb0257360fd8ccf3377d161691a26fb7628393a2459f6f378a48c678c0",
+    "random_tiebreak.scn": "994ea787c275f0b6f7f45d5a6e13ee822e24fdd4b1e8eeb01bfbd6836c4c6a5c",
+    "rendezvous.scn": "eccc135b15e7bbc197aa74cee2c656e4581115fc8bb2395eb46133c984449742",
+    "soak_noise.scn": "6ab42a09b67fca1ebe0e7b6b28b460bfb0776b4a5a62be2754714ecd605ce4a0",
+    "timeout.scn": "1926e78bea8a5113f07f6f4bae13202f91441e595d6fea6739493710c78cf1a3",
+}
+
+
 def bundled(name):
     return load_scenario_file(str(SCENARIO_DIR / name))
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "fig5.scn",
-        "timeout.scn",
-        "masking_2oo3.scn",
-        "detect_divergent.scn",
-        "boot_fail.scn",
-        "exit_timeout.scn",
-        "random_tiebreak.scn",
-        "rendezvous.scn",
-        "soak_noise.scn",
-    ],
-)
+def sweep_scenarios():
+    """Scenarios built in code, covering every fault kind and IRQ latencies."""
+    catalog = [spec for _, spec in placement_catalog(0, len(DEFAULT_SAFE_PROGRAM))]
+    other = placement_catalog(1, len(DEFAULT_SAFE_PROGRAM))[0][1]
+    yield from (build_masking_scenario(4, 3, 2, faults=(spec,)) for spec in catalog)
+    yield build_masking_scenario(7, 5, 3, faults=(catalog[2], other))
+    yield build_rendezvous_scenario(3, 2, 2, (0, 3, 1), random_selection=True)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
 def test_bundled_scenarios_round_trip(name):
     original = bundled(name)
     reloaded = load_scenario(serialize_scenario(original))
     assert scenario_to_dict(reloaded) == scenario_to_dict(original)
     assert scenario_digest(reloaded) == scenario_digest(original)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_bundled_scenario_digest_is_pinned(name):
+    assert scenario_digest(bundled(name)) == BUNDLED_DIGESTS[name]
+
+
+def test_serialization_matches_the_pure_python_dumper():
+    scenarios = [bundled(name) for name in sorted(BUNDLED_DIGESTS)] + list(sweep_scenarios())
+    assert {f.kind for s in scenarios for f in s.faults} == set(FaultKind)
+    for s in scenarios:
+        pure = yaml.dump(
+            scenario_to_dict(s), Dumper=yaml.SafeDumper, sort_keys=False, default_flow_style=False
+        )
+        assert serialize_scenario(s) == pure
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_loader_matches_the_pure_python_loader(name):
+    text = (SCENARIO_DIR / name).read_text(encoding="utf-8")
+    assert yaml.load(text, Loader=Loader) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 def test_digest_changes_with_content():
