@@ -48,6 +48,10 @@ def narrate(event) -> str:
     if kind == "vote":
         return f"ports {d['ports']} compare outputs; agreement matrix {d['matrix']}"
     if kind == "forward":
+        if "stalled" in d:
+            return f"majority exit read {d['tx']} waits at the monitor for the whole group"
+        if "unmapped" in d:
+            return f"majority transaction {d['tx']} targets an address the voted bus cannot serve"
         return f"majority transaction {d['tx']} commits for the group (reply {d['response']})"
     if kind == "release":
         return f"blocks {d['blocks']} released together; private contexts restored"

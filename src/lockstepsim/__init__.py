@@ -42,7 +42,6 @@ from .engine import (  # noqa: E402
     SimInternalError,
     SystemState,
     World,
-    boot,
     run,
 )
 from .faults import FaultEngine, FaultKind, FaultSpec  # noqa: E402
@@ -122,7 +121,6 @@ __all__ = [
     "SystemState",
     "Report",
     "SimInternalError",
-    "boot",
     "run",
     # scenarios
     "Scenario",

@@ -8,7 +8,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 sweep finished but some points failed; 2 the run
 ended in the safe state; 3 scenario or sweep specification rejected; 4
-internal failure (unmapped address, trace write failure, broken invariant).
+internal failure (unmapped address on the system bus, trace write failure,
+broken invariant).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
@@ -61,24 +61,13 @@ class SystemState(Enum):
     SAFE_PROCESSING_MODE = "safe_processing_mode"
 
 
-@dataclass
-class SessionRecord:
-    gather_cycle: int
-    lockstep_cycle: Optional[int] = None
-    release_cycle: Optional[int] = None
-    accepted: List[int] = field(default_factory=list)
-    rejected: List[int] = field(default_factory=list)
-    outcome: str = "open"
-
-    def to_dict(self) -> Dict:
-        return {
-            "gather_cycle": self.gather_cycle,
-            "lockstep_cycle": self.lockstep_cycle,
-            "release_cycle": self.release_cycle,
-            "accepted": list(self.accepted),
-            "rejected": list(self.rejected),
-            "outcome": self.outcome,
-        }
+# phase-7 session transitions: target -> (required source, cause); the safe
+# state is entered from any state
+_SESSION_ARCS = {
+    SystemState.SYNCHRONIZING: (SystemState.NORMAL_PROCESSING, "session request"),
+    SystemState.SAFE_PROCESSING_MODE: (SystemState.SYNCHRONIZING, "lockstep entry"),
+    SystemState.NORMAL_PROCESSING: (SystemState.SAFE_PROCESSING_MODE, "session completion"),
+}
 
 
 class World:
@@ -104,9 +93,9 @@ class World:
         self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
         self.held_tx: Dict[int, BusTransaction] = {}
-        self.pending_irq: List[Tuple[int, int]] = []  # (deliver_cycle, block_id)
+        self.pending_irq: Dict[int, List[int]] = {}  # deliver_cycle -> block ids
         self.request_queue: List[Tuple[object, TriggerSource]] = []
-        self.sessions: List[SessionRecord] = []
+        self.sessions = self.monitor.sessions
         self.counters = {
             "accepted": 0,
             "rejected": 0,
@@ -116,11 +105,8 @@ class World:
         }
         self.end_reason: Optional[str] = None
         self.boot_result: Optional[str] = None
-        # per-cycle transition flags
-        self._flag_synchronizing = False
-        self._flag_lockstep = False
-        self._flag_complete = False
-        self._flag_safe_state = False
+        # system states made due in phases 4-6 of this cycle, entered in phase 7
+        self._due_states: List[SystemState] = []
 
     # -- trace -------------------------------------------------------------
 
@@ -233,39 +219,23 @@ class World:
             elif reason == "exec_timeout":
                 detail["budget"] = self.scenario.moon.t_exec
             self.emit(6, "monitor", "availability_error", detail)
-            if self.sessions and self.sessions[-1].outcome == "open":
-                self.sessions[-1].outcome = reason
-            self._flag_safe_state = True
+            self._due_states.append(SystemState.SAFE_STATE)
 
-        # phase 7: system transitions
-        if self._flag_synchronizing:
-            self._expect_state(SystemState.NORMAL_PROCESSING, "session request")
-            self._set_system_state(SystemState.SYNCHRONIZING)
-        if self._flag_lockstep:
-            self._expect_state(SystemState.SYNCHRONIZING, "lockstep entry")
-            self._set_system_state(SystemState.SAFE_PROCESSING_MODE)
-        if self._flag_complete:
-            self._expect_state(SystemState.SAFE_PROCESSING_MODE, "session completion")
-            self._set_system_state(SystemState.NORMAL_PROCESSING)
-        if self._flag_safe_state:
-            self._set_system_state(SystemState.SAFE_STATE)
-        self._flag_synchronizing = False
-        self._flag_lockstep = False
-        self._flag_complete = False
-        self._flag_safe_state = False
-
-    def _expect_state(self, expected: SystemState, what: str) -> None:
-        if self.system_state is not expected:
-            raise SimInternalError(
-                f"{what} while system in {self.system_state.value} (cycle {self.cycle})"
-            )
+        # phase 7: system transitions, in the order phases 4-6 made them due
+        for new in self._due_states:
+            if new in _SESSION_ARCS:
+                source, cause = _SESSION_ARCS[new]
+                if self.system_state is not source:
+                    raise SimInternalError(
+                        f"{cause} while system in {self.system_state.value} (cycle {c})"
+                    )
+            self._set_system_state(new)
+        self._due_states.clear()
 
     # -- phase helpers ------------------------------------------------------
 
     def _phase_irq_delivery(self, c: int) -> None:
-        due = sorted(b for cyc, b in self.pending_irq if cyc == c)
-        self.pending_irq = [(cyc, b) for cyc, b in self.pending_irq if cyc != c]
-        for b_id in due:
+        for b_id in self.pending_irq.pop(c, ()):
             self.blocks[b_id].raise_irq()
 
     def _phase_requests(self, c: int) -> None:
@@ -275,14 +245,13 @@ class World:
                 self.emit(
                     4, "monitor", "irq_assert", {"origin": origin, "source": source.value}
                 )
-                self.sessions.append(SessionRecord(gather_cycle=c))
                 for b in self.blocks:
                     latency = self.scenario.latency(b.block_id)
                     if latency == 0:
                         b.raise_irq()
                     else:
-                        self.pending_irq.append((c + latency, b.block_id))
-                self._flag_synchronizing = True
+                        self.pending_irq.setdefault(c + latency, []).append(b.block_id)
+                self._due_states.append(SystemState.SYNCHRONIZING)
             else:
                 self.emit(
                     4,
@@ -301,30 +270,25 @@ class World:
                 else:
                     context = "no_session"
                 self._reject(b_id, context)
-        result = self.monitor.finalize_rendezvous(
+        session = self.monitor.finalize_rendezvous(
             c, self.rng, self.scenario.flags.random_selection
         )
-        if result is None:
+        if session is None:
             return
-        for b_id in result.accepted:
+        for b_id in session.accepted:
             self.mailbox[b_id] = LockstepMonitor.ACCEPT
             self.emit(4, "monitor", "accept", {"block": b_id, "response": 1})
             self.counters["accepted"] += 1
-        for b_id in result.rejected:
+        for b_id in session.rejected:
             self._reject(b_id, "surplus")
         self.emit(4, "monitor", "irq_deassert", {})
         self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
-        if self.sessions:
-            self.sessions[-1].lockstep_cycle = c
-            self.sessions[-1].accepted = list(result.accepted)
-        self._flag_lockstep = True
+        self._due_states.append(SystemState.SAFE_PROCESSING_MODE)
 
     def _reject(self, b_id: int, context: str) -> None:
         self.mailbox[b_id] = LockstepMonitor.REJECT
         self.emit(4, "monitor", "reject", {"block": b_id, "response": 0, "context": context})
         self.counters["rejected"] += 1
-        if context != "exit_not_enabled" and self.sessions and self.sessions[-1].outcome == "open":
-            self.sessions[-1].rejected.append(b_id)
 
     def _phase_exit(self, c: int, exit_arrivals: List[int]) -> None:
         for b_id in exit_arrivals:
@@ -342,10 +306,7 @@ class World:
         self.emit(4, "monitor", "release", {"blocks": released, "response": 1})
         self.emit(4, "monitor", "state_change", {"from": "releasing", "to": "idle"})
         self.held_tx.clear()
-        if self.sessions:
-            self.sessions[-1].release_cycle = c
-            self.sessions[-1].outcome = "completed"
-        self._flag_complete = True
+        self._due_states.append(SystemState.NORMAL_PROCESSING)
 
     def _phase_commit(self, c: int, system_queue: List[Tuple[int, BusTransaction]]) -> None:
         for b_id, tx in system_queue:
@@ -362,8 +323,9 @@ class World:
             SyncState.RELEASING,
         ):
             return
+        members = self.monitor.sessions[-1].accepted
         port_inputs: List[Tuple[int, Optional[BusTransaction]]] = []
-        for b_id in self.monitor.enabled_ids():
+        for b_id in members:
             blk = self.blocks[b_id]
             if blk.state is BlockState.AWAITING_EXIT:
                 port_inputs.append(
@@ -403,20 +365,17 @@ class World:
                 {"block": result.selected_block, "tx": fwd.short(), "stalled": 1},
             )
             return
+        detail = {"block": result.selected_block, "tx": fwd.short()}
         try:
             response = self.memory.issue(fwd, voted=True)
-        except UnmappedAddress as exc:
-            raise UnmappedAddress(
-                exc.address, f"cycle {c}, voted commit: {exc.context}"
-            ) from None
-        self.emit(
-            5,
-            "monitor",
-            "forward",
-            {"block": result.selected_block, "tx": fwd.short(), "response": response},
-        )
+        except UnmappedAddress:
+            # the majority agreed on an address the voted bus cannot serve
+            self.emit(5, "monitor", "forward", dict(detail, unmapped=1))
+            self.monitor.report_bus_fault(c, "unmapped_address")
+            return
+        self.emit(5, "monitor", "forward", dict(detail, response=response))
         # shared-bus acknowledge: every live pending data transaction completes
-        for b_id in self.monitor.enabled_ids():
+        for b_id in members:
             if self.blocks[b_id].state is BlockState.SAFE_PROCESSING and b_id in self.held_tx:
                 self.mailbox[b_id] = response
                 del self.held_tx[b_id]
@@ -452,8 +411,6 @@ class World:
                 if self.quiescent():
                     self.end_reason = "all_halted"
                     break
-        if self.sessions and self.sessions[-1].outcome == "open":
-            self.sessions[-1].outcome = "incomplete"
         self.emit(7, "system", "halt", {"reason": self.end_reason})
 
 
@@ -520,13 +477,6 @@ def memory_digest(ls_ram: Dict[int, int], io_log: List[int]) -> str:
     return hashlib.sha256(canon.encode("ascii")).hexdigest()
 
 
-def boot(scenario: Scenario, seed: Optional[int] = None, trace_enabled: bool = True) -> World:
-    """Construct and boot a world (structural validation included)."""
-    world = World(scenario, seed=seed, trace_enabled=trace_enabled)
-    world.boot()
-    return world
-
-
 def run(
     scenario: Scenario,
     seed: Optional[int] = None,
@@ -546,7 +496,7 @@ def run(
         final_state=world.system_state.value,
         end_reason=world.end_reason or "max_cycles",
         cycles_run=world.cycle,
-        sessions=[s.to_dict() for s in world.sessions],
+        sessions=[asdict(s) for s in world.sessions],
         sessions_completed=completed,
         accepted=world.counters["accepted"],
         rejected=world.counters["rejected"],

@@ -12,17 +12,23 @@ transaction streams pairwise (an n x n boolean matrix), forwards the lowest
 port whose equality class reaches ``m_agree``, and keeps the voted bus idle
 when the winning class is "no transaction".  A cycle with no class at
 ``m_agree`` is a no-majority fault.  Controlled release stalls every exit
-read until all enabled blocks have issued theirs, then answers them together.
+read until all group members have issued theirs, then answers them together.
 
 The observer raises an availability error when gathering or execution outlive
-their cycle budgets, or at once on a no-majority cycle; after that the
-monitor freezes and defers to the system-level safe-state transition.
+their cycle budgets, or at once on a no-majority cycle or a voted commit to
+an address the voted bus cannot serve; after that the monitor freezes and
+defers to the system-level safe-state transition.
+
+The monitor owns the session records: one per session request, filled in as
+the session is admitted, rejects late readers, is released or fails.  The
+record of the current session is ``sessions[-1]``; its ``accepted`` list is
+the group membership and its cycles are the observer's budget origins.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -126,9 +132,19 @@ def run_vote(
 
 
 @dataclass
-class RendezvousResult:
-    accepted: List[int]
-    rejected: List[int]  # same-cycle surplus, answered zero immediately
+class SessionRecord:
+    """One session from its request on.  ``rejected`` lists the sync reads
+    turned away while the session is open: the same-cycle surplus at
+    admission and readers arriving during lockstep or release, not readers
+    arriving after it ended.  ``outcome`` stays "incomplete" until release
+    completes the session or an availability error names its failure."""
+
+    gather_cycle: int
+    lockstep_cycle: Optional[int] = None
+    release_cycle: Optional[int] = None
+    accepted: List[int] = field(default_factory=list)
+    rejected: List[int] = field(default_factory=list)
+    outcome: str = "incomplete"
 
 
 class LockstepMonitor:
@@ -142,14 +158,12 @@ class LockstepMonitor:
         self.n_blocks = n_blocks
         self.config: Optional[MoonConfig] = None
         self.sync_state = SyncState.IDLE
-        self.enabled = [False] * n_blocks
+        self.sessions: List[SessionRecord] = []
         self.arrived: List[Tuple[int, int]] = []  # (cycle, block_id) in order
         self.exited: set = set()
-        self.gather_entry: Optional[int] = None
-        self.lockstep_entry: Optional[int] = None
         self.frozen = False
-        self.irq_asserted = False
-        self._no_majority_cycle: Optional[int] = None
+        # (cycle, reason) of a voted-bus fault for the observer to report
+        self._bus_fault: Optional[Tuple[int, str]] = None
 
     # -- controller --------------------------------------------------------
 
@@ -172,10 +186,9 @@ class LockstepMonitor:
             return False
         assert self.config is not None, "monitor not configured"
         self.sync_state = SyncState.GATHERING
-        self.gather_entry = cycle
+        self.sessions.append(SessionRecord(gather_cycle=cycle))
         self.arrived = []
         self.exited = set()
-        self.irq_asserted = True
         return True
 
     # -- synchronizer: entry -----------------------------------------------
@@ -185,17 +198,20 @@ class LockstepMonitor:
         (rejections are answered zero the same cycle).  Admission happens in
         :meth:`finalize_rendezvous` once the whole cycle has arrived."""
         if self.frozen or self.sync_state is not SyncState.GATHERING:
+            if not self.frozen and self.sync_state is not SyncState.IDLE:
+                self.sessions[-1].rejected.append(block_id)
             return "rejected"
         self.arrived.append((cycle, block_id))
         return "stalled"
 
     def finalize_rendezvous(
         self, cycle: int, rng: Optional[random.Random] = None, random_selection: bool = False
-    ) -> Optional[RendezvousResult]:
-        """Admit the first n_required arrivals once present.  Earlier-cycle
-        arrivals keep strict first-come priority; the cohort of the crossing
-        cycle is tie-broken by ascending block id, or sampled with ``rng``
-        when random selection is enabled."""
+    ) -> Optional[SessionRecord]:
+        """Admit the first n_required arrivals once present and return the
+        session record, whose ``rejected`` list is then the same-cycle
+        surplus.  Earlier-cycle arrivals keep strict first-come priority; the
+        cohort of the crossing cycle is tie-broken by ascending block id, or
+        sampled with ``rng`` when random selection is enabled."""
         if self.sync_state is not SyncState.GATHERING or self.config is None:
             return None
         n = self.config.n_required
@@ -209,16 +225,13 @@ class LockstepMonitor:
             chosen = set(rng.sample(sorted(cohort), slots))
         else:
             chosen = set(sorted(cohort)[:slots])
-        accepted = sorted(prior + [b for b in cohort if b in chosen])
-        rejected = sorted(b for b in cohort if b not in chosen)
-        self.enabled = [False] * self.n_blocks
-        for b in accepted:
-            self.enabled[b] = True
+        record = self.sessions[-1]
+        record.lockstep_cycle = cycle
+        record.accepted = sorted(prior + [b for b in cohort if b in chosen])
+        record.rejected = sorted(b for b in cohort if b not in chosen)
         self.arrived = []
         self.sync_state = SyncState.LOCKSTEP
-        self.lockstep_entry = cycle
-        self.irq_asserted = False
-        return RendezvousResult(accepted=accepted, rejected=rejected)
+        return record
 
     # -- synchronizer: exit -------------------------------------------------
 
@@ -226,7 +239,7 @@ class LockstepMonitor:
         if (
             self.frozen
             or self.sync_state not in (SyncState.LOCKSTEP, SyncState.RELEASING)
-            or not self.enabled[block_id]
+            or block_id not in self.sessions[-1].accepted
         ):
             return "rejected"
         self.exited.add(block_id)
@@ -235,19 +248,18 @@ class LockstepMonitor:
         return "stalled"
 
     def finalize_release(self, cycle: int) -> Optional[List[int]]:
-        """Release the whole group once every enabled block has issued its
-        exit read; all of them are answered together."""
+        """Release the whole group once every member has issued its exit
+        read; all of them are answered together."""
         if self.sync_state is not SyncState.RELEASING or self.frozen:
             return None
-        members = [b for b in range(self.n_blocks) if self.enabled[b]]
-        if set(members) - self.exited:
+        record = self.sessions[-1]
+        if set(record.accepted) - self.exited:
             return None
-        self.enabled = [False] * self.n_blocks
+        record.release_cycle = cycle
+        record.outcome = "completed"
         self.exited = set()
         self.sync_state = SyncState.IDLE
-        self.gather_entry = None
-        self.lockstep_entry = None
-        return members
+        return list(record.accepted)
 
     # -- voter ---------------------------------------------------------------
 
@@ -256,8 +268,12 @@ class LockstepMonitor:
         ports = [b for b, _ in port_inputs]
         result = run_vote([tx for _, tx in port_inputs], self.config.m_agree, ports)
         if result.no_majority:
-            self._no_majority_cycle = cycle
+            self.report_bus_fault(cycle, "no_majority")
         return result
+
+    def report_bus_fault(self, cycle: int, reason: str) -> None:
+        """Mark a voted-bus fault of this cycle for the observer."""
+        self._bus_fault = (cycle, reason)
 
     # -- observer -------------------------------------------------------------
 
@@ -267,22 +283,19 @@ class LockstepMonitor:
         if self.frozen or self.config is None:
             return None
         reason = None
-        if self._no_majority_cycle == cycle:
-            reason = "no_majority"
+        if self._bus_fault is not None and self._bus_fault[0] == cycle:
+            reason = self._bus_fault[1]
         elif (
             self.sync_state is SyncState.GATHERING
-            and cycle > self.gather_entry + self.config.t_gather
+            and cycle > self.sessions[-1].gather_cycle + self.config.t_gather
         ):
             reason = "gather_timeout"
         elif (
             self.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING)
-            and cycle > self.lockstep_entry + self.config.t_exec
+            and cycle > self.sessions[-1].lockstep_cycle + self.config.t_exec
         ):
             reason = "exec_timeout"
         if reason is not None:
             self.frozen = True
-            self.irq_asserted = False
+            self.sessions[-1].outcome = reason
         return reason
-
-    def enabled_ids(self) -> List[int]:
-        return [b for b in range(self.n_blocks) if self.enabled[b]]

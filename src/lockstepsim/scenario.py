@@ -34,6 +34,7 @@ output device, and may not trigger or halt.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -68,6 +69,9 @@ from .monitor import InvalidConfig, MoonConfig
 # same dumped bytes, so digests do not depend on which one is present.
 Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# the line breaks YAML counts when it reports an error's line
+_YAML_LINE_BREAK = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
 class ScenarioError(Exception):
@@ -219,9 +223,14 @@ def load_scenario(text: str) -> Scenario:
         doc = yaml.load(text, Loader=Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
-        line = mark.line + 1 if mark else 1
-        col = mark.column + 1 if mark else 1
-        raise ParseError(exc.problem or "malformed YAML", line, col) from exc
+        message = exc.problem or "malformed YAML"
+        if mark is None:
+            raise ParseError(message) from exc
+        # libyaml does not name the offending character; name it here
+        lines = _YAML_LINE_BREAK.split(text)
+        if mark.line < len(lines) and mark.column < len(lines[mark.line]):
+            message += f": {lines[mark.line][mark.column]!r}"
+        raise ParseError(message, mark.line + 1, mark.column + 1) from exc
     except yaml.YAMLError as exc:
         raise ParseError(str(exc)) from exc
     if doc is None:

@@ -165,7 +165,12 @@ def expected_admission(
 
 
 def check_arrival_point(report: Report, latencies: Sequence[int], n_required: int) -> str:
-    """Return '' if the run honors the admission rule, else a complaint."""
+    """Return '' if the run honors the admission rule, else a complaint.
+
+    Reads the trace, not ``report.sessions``: a session record lists only the
+    rejections made while the session is open, so a block whose latency
+    brings it to the sync register after release (rejected "no_session")
+    is in the trace alone."""
     gather = [
         e.cycle
         for e in report.trace

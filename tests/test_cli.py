@@ -39,6 +39,20 @@ faults:
 max_cycles: 30
 """
 
+UNMAPPED_SYSTEM_BUS = """\
+name: unmapped-system-bus
+seed: 0
+n_blocks: 2
+moon: {n_required: 2, m_agree: 2, t_gather: 6, t_exec: 10}
+programs:
+  - ["compute 1", "write 0x40 5", "halt"]
+  - ["compute 1", "halt"]
+safe_program: ["write 0x10000 7"]
+faults:
+  - {target: 0, kind: bit_flip_address, at_cycle: 1, bit: 16}
+max_cycles: 30
+"""
+
 
 # -- run ------------------------------------------------------------------------
 
@@ -90,13 +104,35 @@ def test_run_non_mapping_flags_exits_three(tmp_path, capsys):
     assert "flags: must be a mapping" in capsys.readouterr().err
 
 
-def test_run_internal_fault_exits_four(tmp_path, capsys):
+def test_run_voted_unmapped_address_exits_two(tmp_path, capsys):
     # both halves of a 2oo2 group corrupt the same address bit, so the voted
-    # bus unanimously agrees on an unmapped address
+    # bus unanimously agrees on an unmapped address: a modelled bus error
     scn = tmp_path / "unmapped.scn"
     scn.write_text(UNMAPPED_MAJORITY)
+    trace_path, report_path = tmp_path / "t.jsonl", tmp_path / "r.json"
+    assert main(["run", str(scn), "--quiet", "--trace", str(trace_path),
+                 "--report", str(report_path)]) == EXIT_SAFE_STATE
+    assert capsys.readouterr().err == ""
+    events = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    tail = [(e["phase"], e["kind"], e["detail"]) for e in events[-4:]]
+    assert tail == [
+        (5, "forward", {"block": 0, "tx": "W:00030000:00000007", "unmapped": 1}),
+        (6, "availability_error", {"reason": "unmapped_address"}),
+        (7, "state_change", {"from": "safe_processing_mode", "to": "safe_state"}),
+        (7, "halt", {"reason": "safe_state"}),
+    ]
+    doc = json.loads(report_path.read_text())
+    assert [s["outcome"] for s in doc["sessions"]] == ["unmapped_address"]
+    assert doc["ls_ram"] == {} and doc["availability_errors"] == 1
+
+
+def test_run_system_bus_unmapped_address_exits_four(tmp_path, capsys):
+    # a normal-program write to system RAM with address bit 16 flipped lands
+    # in lockstep RAM, which the system bus does not reach
+    scn = tmp_path / "system_unmapped.scn"
+    scn.write_text(UNMAPPED_SYSTEM_BUS)
     assert main(["run", str(scn), "--quiet"]) == EXIT_INTERNAL
-    assert "unmapped address" in capsys.readouterr().err
+    assert "lockstep RAM not on the system bus" in capsys.readouterr().err
 
 
 def test_quiet_suppresses_the_summary(capsys):

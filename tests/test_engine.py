@@ -29,13 +29,14 @@ from lockstepsim import (
     TriggerSP,
     World,
     Write,
-    boot,
     load_scenario_file,
     run,
     scenario_digest,
 )
 from lockstepsim import engine
+from lockstepsim.faults import FaultKind, FaultSpec
 from lockstepsim.scenario import ExternalTrigger
+from lockstepsim.sweep import build_masking_scenario
 from lockstepsim.trace import audit_event_order, audit_system_path
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
@@ -116,7 +117,8 @@ def test_lockstep_group_commits_one_transparent_image(safe_program, n_blocks, n,
 
 
 def test_boot_emits_configuration_and_state():
-    world = boot(group_scenario())
+    world = World(group_scenario())
+    world.boot()
     assert world.system_state is SystemState.NORMAL_PROCESSING
     kinds = [(e.kind, e.entity) for e in world.trace]
     assert kinds == [("boot", "system"), ("state_change", "system")]
@@ -136,7 +138,8 @@ def test_failed_boot_check_goes_straight_to_safe_state():
 
 
 def test_boot_twice_is_an_internal_error():
-    world = boot(group_scenario())
+    world = World(group_scenario())
+    world.boot()
     with pytest.raises(SimInternalError):
         world.boot()
 
@@ -150,8 +153,17 @@ def test_step_before_boot_is_an_internal_error():
 def test_step_after_safe_state_is_an_internal_error():
     scenario = group_scenario()
     scenario.boot_check = "fail"
-    world = boot(scenario)
+    world = World(scenario)
+    world.boot()
     with pytest.raises(SimInternalError):
+        world.step()
+
+
+def test_session_transition_from_the_wrong_state_is_an_internal_error():
+    world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
+    world.boot()
+    world.system_state = SystemState.SAFE_PROCESSING_MODE  # out of step with the monitor
+    with pytest.raises(SimInternalError, match="session request while system in safe_processing_mode"):
         world.step()
 
 
@@ -277,6 +289,25 @@ def test_request_against_halted_blocks_times_out():
     assert len(errors) == 1
     assert errors[0].detail["reason"] == "gather_timeout"
     assert errors[0].cycle == 5 + scenario.moon.t_gather + 1
+
+
+@pytest.mark.parametrize("bit", [16, 31])  # into system RAM, out of every region
+def test_agreeing_corrupt_addresses_are_a_modelled_bus_error(bit):
+    # two of three ports flip the same address bit of the first safe write
+    faults = [
+        FaultSpec(target=t, kind=FaultKind.BIT_FLIP_ADDRESS, at_safe_instr=0, bit=bit)
+        for t in (1, 2)
+    ]
+    report = run(build_masking_scenario(3, 3, 2, faults=faults))
+    forward = [e for e in report.trace if e.kind == "forward"]
+    tx = f"W:{LS_RAM_BASE ^ (1 << bit):08X}:00000007"
+    assert forward[-1].detail == {"block": 1, "tx": tx, "unmapped": 1}
+    errors = [e for e in report.trace if e.kind == "availability_error"]
+    assert [(e.cycle, e.detail) for e in errors] == [(forward[-1].cycle, {"reason": "unmapped_address"})]
+    assert report.final_state == "safe_state"
+    assert report.sessions[0]["outcome"] == "unmapped_address"
+    assert report.ls_ram == {} and report.io_log == []
+    audit_system_path(report.trace)
 
 
 def test_max_cycles_caps_the_run():

@@ -97,16 +97,16 @@ def test_request_starts_gathering_and_asserts_irq():
     mon = monitor()
     assert mon.sync_state is SyncState.IDLE
     assert mon.request_sp(5)
-    assert mon.sync_state is SyncState.GATHERING
-    assert mon.gather_entry == 5
-    assert mon.irq_asserted
+    assert mon.sync_state is SyncState.GATHERING  # the IRQ line is up while gathering
+    assert [s.gather_cycle for s in mon.sessions] == [5]
+    assert mon.sessions[-1].outcome == "incomplete"
 
 
 def test_second_request_is_dropped_while_busy():
     mon = monitor()
     assert mon.request_sp(5)
     assert not mon.request_sp(6)
-    assert mon.gather_entry == 5  # unchanged
+    assert [s.gather_cycle for s in mon.sessions] == [5]  # no second record
 
 
 # -- rendezvous admission --------------------------------------------------------------
@@ -129,8 +129,8 @@ def test_admission_waits_for_n_arrivals():
     assert result.accepted == [0, 1, 2]
     assert result.rejected == []
     assert mon.sync_state is SyncState.LOCKSTEP
-    assert mon.lockstep_entry == 12
-    assert not mon.irq_asserted  # deasserted on admission
+    assert result is mon.sessions[-1]
+    assert (result.gather_cycle, result.lockstep_cycle) == (1, 12)
 
 
 def test_same_cycle_ties_break_by_block_id():
@@ -172,6 +172,23 @@ def test_random_selection_samples_only_the_crossing_cohort():
     assert len(seen) > 1  # the seed really steers the tie-break
 
 
+def test_record_lists_rejections_only_while_the_session_is_open():
+    mon = monitor(n_blocks=4, n=2)
+    assert mon.on_sync_read(3, 1) == "rejected"  # before any session
+    mon.request_sp(2)
+    for b in (0, 1, 2):
+        mon.on_sync_read(b, 3)
+    record = finalize(mon, 3)
+    assert (record.accepted, record.rejected) == ([0, 1], [2])  # same-cycle surplus
+    assert mon.on_sync_read(3, 4) == "rejected"  # during lockstep: listed
+    assert mon.on_exit_read(3, 4) == "rejected"  # exit reads are never listed
+    for b in (0, 1):
+        mon.on_exit_read(b, 5)
+    assert mon.finalize_release(5) == [0, 1]
+    assert mon.on_sync_read(2, 6) == "rejected"  # after release: not listed
+    assert record.rejected == [2, 3]
+
+
 def test_reads_outside_gathering_are_rejected():
     mon = monitor(n_blocks=4, n=2)
     assert mon.on_sync_read(0, 1) == "rejected"  # idle: no session
@@ -204,7 +221,8 @@ def test_release_waits_for_every_member():
     assert mon.on_exit_read(1, 7) == "stalled"
     assert mon.finalize_release(7) == [0, 1, 2]
     assert mon.sync_state is SyncState.IDLE
-    assert mon.enabled_ids() == []
+    record = mon.sessions[-1]
+    assert (record.release_cycle, record.outcome) == (7, "completed")
 
 
 def test_exit_read_from_outsider_is_rejected():
@@ -219,7 +237,8 @@ def test_monitor_is_reusable_after_release():
         mon.on_exit_read(b, 5)
     mon.finalize_release(5)
     assert mon.request_sp(8)
-    assert mon.gather_entry == 8
+    assert [s.gather_cycle for s in mon.sessions] == [1, 8]
+    assert mon.on_exit_read(0, 9) == "rejected"  # the old group is not a member
 
 
 # -- voter -------------------------------------------------------------------------------
@@ -300,6 +319,15 @@ def test_vote_records_no_majority_cycle_for_observer():
     assert result.no_majority
     assert mon.observe(9) == "no_majority"
     assert mon.frozen
+    assert mon.sessions[-1].outcome == "no_majority"
+
+
+def test_reported_bus_fault_is_raised_on_its_cycle_only():
+    mon = locked_monitor()
+    mon.report_bus_fault(9, "unmapped_address")
+    assert mon.observe(8) is None
+    assert mon.observe(9) == "unmapped_address"
+    assert mon.sessions[-1].outcome == "unmapped_address"
 
 
 # -- observer ----------------------------------------------------------------------------
@@ -312,7 +340,7 @@ def test_gather_timeout_fires_one_cycle_past_budget():
         assert mon.observe(c) is None
     assert mon.observe(15) == "gather_timeout"  # 10 + 4 + 1
     assert mon.frozen
-    assert not mon.irq_asserted
+    assert mon.sessions[-1].outcome == "gather_timeout"
 
 
 def test_exec_timeout_covers_lockstep_and_releasing():
@@ -326,6 +354,7 @@ def test_exec_timeout_covers_lockstep_and_releasing():
     for c in range(3, 8):
         assert mon.observe(c) is None
     assert mon.observe(8) == "exec_timeout"  # 2 + 5 + 1, budget not restarted
+    assert mon.sessions[-1].outcome == "exec_timeout"
 
 
 def test_idle_monitor_never_times_out():

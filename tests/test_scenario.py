@@ -122,20 +122,28 @@ def test_yaml_syntax_error_carries_location():
 
 
 @pytest.mark.parametrize(
-    "text,line,column",
+    "text,line,column,char",
     [
-        ("name: [unclosed\nseed: 1\n", 2, 5),
-        ("a: b: c\n", 1, 5),
-        ("x:\n  - 1\n - 2\n", 3, 2),
-        ("\t- a\n", 1, 1),
-        ("a: 'x\n", 2, 1),
+        ("name: [unclosed\nseed: 1\n", 2, 5, ":"),
+        ("a: b: c\n", 1, 5, ":"),
+        ("x:\n  - 1\n - 2\n", 3, 2, "-"),
+        ("\t- a\n", 1, 1, "\t"),
+        ("a: 'x\n", 2, 1, None),  # end of input: no character to name
+        ("seed: @1\n", 1, 7, "@"),
+        ("a: `x`\n", 1, 4, "`"),
+        ("x: 1\r\nb: \u00e9\r\nc: [@]\n", 3, 5, "@"),
     ],
 )
-def test_parse_error_location_is_exact(text, line, column):
+def test_parse_error_location_is_exact(text, line, column, char):
     with pytest.raises(ParseError) as exc:
         load_scenario(text)
+    message = str(exc.value)
     assert (exc.value.line, exc.value.column) == (line, column)
-    assert str(exc.value).startswith(f"line {line}, column {column}: ")
+    assert message.startswith(f"line {line}, column {column}: ")
+    if char is None:
+        assert not message.endswith("'")
+    else:
+        assert message.endswith(f": {char!r}")
 
 
 def test_missing_file(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from lockstepsim import (
     run,
     write_trace,
 )
+from lockstepsim.sweep import build_rendezvous_scenario
 from lockstepsim.trace import (
     ALLOWED_SYSTEM_ARCS,
     EVENT_KINDS,
@@ -137,6 +139,30 @@ def test_aborted_session_audit_is_open_ended():
     assert len(sessions) == 1
     assert not sessions[0].completed
     assert sessions[0].release_cycle is None
+
+
+def assert_records_match_audit(report):
+    """The monitor's session records agree with the sessions rebuilt from
+    the trace on cycles, members and rejections."""
+    audit = audit_sessions(report.trace)
+    assert len(report.sessions) == len(audit)
+    for record, seen in zip(report.sessions, audit):
+        cycles = (record["gather_cycle"], record["lockstep_cycle"], record["release_cycle"])
+        assert cycles == (seen.gather_cycle, seen.lockstep_cycle, seen.release_cycle)
+        assert record["accepted"] == seen.accepted
+        assert sorted(record["rejected"]) == sorted(seen.rejected)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
+def test_session_records_match_the_trace_audit(path, seed):
+    assert_records_match_audit(run(load_scenario_file(str(path)), seed=seed))
+
+
+def test_session_records_match_the_trace_audit_over_an_arrival_sweep():
+    # the points of arrival_sweep(3, 2, 2, latency_max=5)
+    for latencies in itertools.product(range(6), repeat=3):
+        assert_records_match_audit(run(build_rendezvous_scenario(3, 2, 2, latencies)))
 
 
 def test_empty_trace_audits_to_no_sessions():
