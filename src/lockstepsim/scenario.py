@@ -1,28 +1,8 @@
 """Scenario files: a human-writable YAML mapping describing one simulated world.
 
-Grammar (stable; see README for the full reference):
-
-.. code-block:: yaml
-
-    name: demo
-    seed: 1
-    n_blocks: 3
-    moon: {n_required: 3, m_agree: 2, t_gather: 50, t_exec: 200}
-    boot_check: pass            # or fail
-    max_cycles: 400
-    flags: {random_selection: false}
-    irq_latency: [0, 0, 0]      # optional, per block
-    programs:
-      - ["compute 2", "trigger_sp app_triggered", "halt"]
-      - ["compute 1", "compute 1", "halt"]
-      - ["compute 1", "compute 1", "halt"]
-    safe_program:
-      - "write 0x10000 7"
-      - "read 0x10000"
-    triggers:
-      - {cycle: 10, source: external_in_scope}
-    faults:
-      - {target: 2, kind: bit_flip_data, bit: 1, at_safe_instr: 0}
+Its keys are the fields of the dataclasses below (``noise_flip_probability``
+is written ``noise: {flip_probability: p}``); README's "Scenario files"
+section is the reference, and ``tests/test_readme.py`` holds it to them.
 
 Instructions are compact strings: ``compute <n>``, ``read <addr>``,
 ``write <addr> <word>``, ``trigger_sp <source>``, ``halt``.  Numbers accept
@@ -35,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional
 
 import yaml
@@ -182,6 +162,13 @@ def format_instruction(instr: Instruction) -> str:
 
 # -- loading -------------------------------------------------------------------
 
+_SCENARIO_KEYS = {f.name for f in fields(Scenario)} - {"noise_flip_probability"} | {"noise"}
+_MOON_FIELDS = [f.name for f in fields(MoonConfig)]
+_TRIGGER_KEYS = {f.name for f in fields(ExternalTrigger)}
+_FLAG_KEYS = {f.name for f in fields(Flags)}
+_NOISE_KEYS = {"flip_probability"}
+_FAULT_FIELDS = [f.name for f in fields(FaultSpec)]
+
 
 def _require(mapping: Dict, key: str, path: str):
     if key not in mapping:
@@ -193,6 +180,18 @@ def _int_field(mapping: Dict, key: str, path: str) -> int:
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{path}{key}", f"expected integer, got {value!r}")
+    return value
+
+
+def _mapping(value, where: str, known) -> Dict:
+    """``value`` if it is a mapping whose keys are all in ``known``.  ``where``
+    is its field path, empty for a whole document."""
+    if not isinstance(value, dict):
+        raise ValidationError(where, "must be a mapping")
+    prefix = f"{where}." if where else ""
+    for key in value:
+        if key not in known:
+            raise ValidationError(f"{prefix}{key}", "unknown field")
     return value
 
 
@@ -217,8 +216,24 @@ def _program(value, where: str) -> List[Instruction]:
     return instrs
 
 
-def load_scenario(text: str) -> Scenario:
-    """Parse and fully validate scenario text."""
+def read_text(path: str, what: str) -> str:
+    """The text of a scenario or sweep-spec file, which must be UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _YAML_LINE_BREAK.split(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"not valid UTF-8: byte 0x{data[exc.start]:02X}", len(lines), len(lines[-1]) + 1
+        ) from None
+
+
+def parse_yaml(text: str, what: str) -> Dict:
+    """One YAML document that must be a mapping; ``what`` names it in errors."""
     try:
         doc = yaml.load(text, Loader=Loader)
     except yaml.MarkedYAMLError as exc:
@@ -231,43 +246,28 @@ def load_scenario(text: str) -> Scenario:
         if mark.line < len(lines) and mark.column < len(lines[mark.line]):
             message += f": {lines[mark.line][mark.column]!r}"
         raise ParseError(message, mark.line + 1, mark.column + 1) from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a scalar the constructor cannot build, such as an
+        # integer past Python's digit limit or a timestamp with month 13
         raise ParseError(str(exc)) from exc
     if doc is None:
-        raise ParseError("empty scenario")
+        raise ParseError(f"empty {what}")
     if not isinstance(doc, dict):
-        raise ParseError("scenario must be a mapping")
-    return scenario_from_dict(doc)
+        raise ParseError(f"{what} must be a mapping")
+    return doc
+
+
+def load_scenario(text: str) -> Scenario:
+    """Parse and fully validate scenario text."""
+    return scenario_from_dict(parse_yaml(text, "scenario"))
 
 
 def load_scenario_file(path: str) -> Scenario:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    return load_scenario(text)
+    return load_scenario(read_text(path, "scenario"))
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:
-    known = {
-        "name",
-        "seed",
-        "n_blocks",
-        "moon",
-        "boot_check",
-        "programs",
-        "safe_program",
-        "triggers",
-        "faults",
-        "max_cycles",
-        "flags",
-        "irq_latency",
-        "noise",
-    }
-    for key in doc:
-        if key not in known:
-            raise ValidationError(str(key), "unknown field")
+    _mapping(doc, "", _SCENARIO_KEYS)
 
     name = _require(doc, "name", "")
     if not isinstance(name, str) or not name:
@@ -277,18 +277,8 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         raise ValidationError("seed", "must fit in 64 bits")
     n_blocks = _int_field(doc, "n_blocks", "")
 
-    moon_doc = _require(doc, "moon", "")
-    if not isinstance(moon_doc, dict):
-        raise ValidationError("moon", "must be a mapping")
-    for key in moon_doc:
-        if key not in {"n_required", "m_agree", "t_gather", "t_exec"}:
-            raise ValidationError(f"moon.{key}", "unknown field")
-    moon = MoonConfig(
-        n_required=_int_field(moon_doc, "n_required", "moon."),
-        m_agree=_int_field(moon_doc, "m_agree", "moon."),
-        t_gather=_int_field(moon_doc, "t_gather", "moon."),
-        t_exec=_int_field(moon_doc, "t_exec", "moon."),
-    )
+    moon_doc = _mapping(_require(doc, "moon", ""), "moon", _MOON_FIELDS)
+    moon = MoonConfig(**{key: _int_field(moon_doc, key, "moon.") for key in _MOON_FIELDS})
 
     boot_check = doc.get("boot_check", "pass")
     max_cycles = _int_field(doc, "max_cycles", "") if "max_cycles" in doc else 1000
@@ -301,8 +291,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
 
     triggers = []
     for i, trig in enumerate(_optional_field(doc, "triggers", list)):
-        if not isinstance(trig, dict):
-            raise ValidationError(f"triggers[{i}]", "must be a mapping")
+        trig = _mapping(trig, f"triggers[{i}]", _TRIGGER_KEYS)
         cycle = _int_field(trig, "cycle", f"triggers[{i}].")
         source_raw = _require(trig, "source", f"triggers[{i}].")
         try:
@@ -314,10 +303,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     faults_doc = _optional_field(doc, "faults", list)
     faults = [_fault_from_dict(fdoc, i) for i, fdoc in enumerate(faults_doc)]
 
-    flags_doc = _optional_field(doc, "flags", dict)
-    for key in flags_doc:
-        if key != "random_selection":
-            raise ValidationError(f"flags.{key}", "unknown flag")
+    flags_doc = _mapping(_optional_field(doc, "flags", dict), "flags", _FLAG_KEYS)
     random_selection = flags_doc.get("random_selection", False)
     if not isinstance(random_selection, bool):
         raise ValidationError("flags.random_selection", "must be true or false")
@@ -330,10 +316,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         ):
             raise ValidationError("irq_latency", "must be a list of integers")
 
-    noise_doc = _optional_field(doc, "noise", dict)
-    for key in noise_doc:
-        if key != "flip_probability":
-            raise ValidationError(f"noise.{key}", "unknown field")
+    noise_doc = _mapping(_optional_field(doc, "noise", dict), "noise", _NOISE_KEYS)
     noise_p = noise_doc.get("flip_probability", 0.0)
     if isinstance(noise_p, bool) or not isinstance(noise_p, (int, float)):
         raise ValidationError("noise.flip_probability", "must be a number")
@@ -351,20 +334,17 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         max_cycles=max_cycles,
         flags=flags,
         irq_latency=list(irq_latency) if irq_latency is not None else None,
-        noise_flip_probability=float(noise_p),
+        noise_flip_probability=noise_p,
     )
     validate_scenario(scenario)
+    # within 0..1 now, so an integer too large for a float cannot reach float()
+    scenario.noise_flip_probability = float(noise_p)
     return scenario
 
 
 def _fault_from_dict(fdoc, i: int) -> FaultSpec:
     where = f"faults[{i}]"
-    if not isinstance(fdoc, dict):
-        raise ValidationError(where, "must be a mapping")
-    known = {"target", "kind", "at_cycle", "at_safe_instr", "bit", "delay", "program"}
-    for key in fdoc:
-        if key not in known:
-            raise ValidationError(f"{where}.{key}", "unknown field")
+    _mapping(fdoc, where, _FAULT_FIELDS)
     target = _int_field(fdoc, "target", where + ".")
     kind_raw = _require(fdoc, "kind", where + ".")
     try:
@@ -515,15 +495,10 @@ def scenario_to_dict(s: Scenario) -> Dict:
         "name": s.name,
         "seed": s.seed,
         "n_blocks": s.n_blocks,
-        "moon": {
-            "n_required": s.moon.n_required,
-            "m_agree": s.moon.m_agree,
-            "t_gather": s.moon.t_gather,
-            "t_exec": s.moon.t_exec,
-        },
+        "moon": asdict(s.moon),
         "boot_check": s.boot_check,
         "max_cycles": s.max_cycles,
-        "flags": {"random_selection": s.flags.random_selection},
+        "flags": asdict(s.flags),
         "programs": [[format_instruction(x) for x in prog] for prog in s.programs],
         "safe_program": [format_instruction(x) for x in s.safe_program],
     }
@@ -541,15 +516,13 @@ def scenario_to_dict(s: Scenario) -> Dict:
 
 
 def _fault_to_dict(f: FaultSpec) -> Dict:
-    fd: Dict = {"target": f.target, "kind": f.kind.value}
-    if f.at_cycle is not None:
-        fd["at_cycle"] = f.at_cycle
-    if f.at_safe_instr is not None:
-        fd["at_safe_instr"] = f.at_safe_instr
-    if f.bit is not None:
-        fd["bit"] = f.bit
-    if f.delay is not None:
-        fd["delay"] = f.delay
+    """Set fields only, in field order."""
+    fd: Dict = {}
+    for key in _FAULT_FIELDS:
+        value = getattr(f, key)
+        if value is not None:
+            fd[key] = value
+    fd["kind"] = f.kind.value
     if f.program is not None:
         fd["program"] = [format_instruction(x) for x in f.program]
     return fd

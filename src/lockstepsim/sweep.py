@@ -22,14 +22,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import yaml
-
 from .block import Compute, Halt, Instruction, Read, TriggerSP, TriggerSource, Write
 from .bus import IO_BASE, LS_RAM_BASE
 from .engine import Report, run
 from .faults import FaultKind, FaultSpec
-from .monitor import MoonConfig
-from .scenario import Flags, Loader, Scenario, ScenarioError
+from .monitor import InvalidConfig, MoonConfig
+from .scenario import Flags, Scenario, ValidationError, _int_field, _mapping, parse_yaml, read_text
 
 DEFAULT_SAFE_PROGRAM: Tuple[Instruction, ...] = (
     Write(LS_RAM_BASE, 7),
@@ -344,54 +342,45 @@ _FAULT_KEYS = {"mode", "n_required", "m_agree", "spares", "max_simultaneous", "p
 
 
 def sweep_from_dict(doc: Dict) -> SweepResult:
-    if not isinstance(doc, dict):
-        raise ScenarioError("sweep spec must be a mapping")
-    mode = doc.get("mode")
+    """Run the sweep a spec describes.  Every rejection names the spec key."""
+    mode = doc.get("mode") if isinstance(doc, dict) else None
     if mode == "arrivals":
-        unknown = set(doc) - _ARRIVAL_KEYS
-        if unknown:
-            raise ScenarioError(f"unknown sweep fields: {sorted(unknown)}")
+        _mapping(doc, "", _ARRIVAL_KEYS)
         n_blocks = _small_int(doc, "n_blocks", 2, 6)
-        n_required = _small_int(doc, "n_required", 2, n_blocks)
-        m_agree = _small_int(doc, "m_agree", 2, n_required)
+        n_required, m_agree = _group(doc, n_blocks)
         latency_max = _small_int(doc, "latency_max", 0, 5, default=3)
         return arrival_sweep(n_blocks, n_required, m_agree, latency_max)
     if mode == "faults":
-        unknown = set(doc) - _FAULT_KEYS
-        if unknown:
-            raise ScenarioError(f"unknown sweep fields: {sorted(unknown)}")
-        n_required = _small_int(doc, "n_required", 2, 7)
-        m_agree = _small_int(doc, "m_agree", 2, n_required)
+        _mapping(doc, "", _FAULT_KEYS)
+        n_required, m_agree = _group(doc, 7)
         spares = _small_int(doc, "spares", 0, 4, default=1)
         max_simultaneous = _small_int(doc, "max_simultaneous", 1, 2, default=1)
         placements = doc.get("placements", "full")
         if placements not in ("full", "representative"):
-            raise ScenarioError("placements must be 'full' or 'representative'")
+            raise ValidationError("placements", "must be 'full' or 'representative'")
         return fault_sweep(n_required, m_agree, spares, max_simultaneous, placements)
-    raise ScenarioError("sweep mode must be 'arrivals' or 'faults'")
+    raise ValidationError("mode", "must be 'arrivals' or 'faults'")
 
 
 def _small_int(doc: Dict, key: str, lo: int, hi: int, default: Optional[int] = None) -> int:
-    if key not in doc:
-        if default is not None:
-            return default
-        raise ScenarioError(f"sweep spec missing '{key}'")
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"sweep field '{key}' must be an integer")
+    if key not in doc and default is not None:
+        return default
+    value = _int_field(doc, key, "")
     if not lo <= value <= hi:
-        raise ScenarioError(f"sweep field '{key}' must be in {lo}..{hi}")
+        raise ValidationError(key, f"must be in {lo}..{hi}")
     return value
 
 
+def _group(doc: Dict, most: int) -> Tuple[int, int]:
+    """``n_required`` and ``m_agree``, checked as a pair before any point runs."""
+    n_required = _small_int(doc, "n_required", 2, most)
+    m_agree = _small_int(doc, "m_agree", 2, n_required)
+    try:
+        MoonConfig(n_required, m_agree, t_gather=1, t_exec=1).validate()
+    except InvalidConfig as exc:
+        raise ValidationError("m_agree", str(exc)) from None
+    return n_required, m_agree
+
+
 def load_sweep_file(path: str) -> SweepResult:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read sweep spec: {exc}") from None
-    try:
-        doc = yaml.load(text, Loader=Loader)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"sweep spec is not valid YAML: {exc}") from None
-    return sweep_from_dict(doc)
+    return sweep_from_dict(parse_yaml(read_text(path, "sweep spec"), "sweep spec"))

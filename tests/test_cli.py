@@ -104,6 +104,49 @@ def test_run_non_mapping_flags_exits_three(tmp_path, capsys):
     assert "flags: must be a mapping" in capsys.readouterr().err
 
 
+FIG5_TEXT = Path(FIG5).read_text(encoding="utf-8")
+ARRIVALS_SPEC = "mode: arrivals\nn_blocks: 2\nn_required: 2\nm_agree: 2\n"
+
+
+# inputs that exited 4 or were accepted before the loaders were merged:
+# file name -> (subcommand, bytes, diagnostic)
+LOADER_HOLES = {
+    "latin1.scn": (
+        "run", FIG5_TEXT.replace("name: fig5", "name: fig\xe9").encode("latin-1"),
+        "line 12, column 10: not valid UTF-8: byte 0xE9",
+    ),
+    "latin1.sweep": (
+        "sweep", (ARRIVALS_SPEC + "# caf\xe9\n").encode("latin-1"),
+        "line 5, column 6: not valid UTF-8: byte 0xE9",
+    ),
+    "mixed_keys.sweep": ("sweep", (ARRIVALS_SPEC + "1: 1\nzz: 1\n").encode(), "1: unknown field"),
+    "trigger_key.scn": (
+        "run", (FIG5_TEXT + "triggers: [{cycle: 3, source: external_in_scope, bogus: 1}]\n").encode(),
+        "triggers[0].bogus: unknown field",
+    ),
+    "huge_noise.scn": (
+        "run", (FIG5_TEXT + f"noise: {{flip_probability: {10**400}}}\n").encode(),
+        "noise.flip_probability: must be within 0..1",
+    ),
+    "long_seed.scn": (
+        "run", FIG5_TEXT.replace("seed: 1", "seed: " + "1" * 5000).encode(),
+        "Exceeds the limit (4300 digits)",
+    ),
+    "month_13.scn": (
+        "run", FIG5_TEXT.replace("seed: 1", "seed: 2001-13-01").encode(), "month must be in 1..12",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_HOLES))
+def test_loader_holes_exit_three(tmp_path, capsys, name):
+    command, data, diagnostic = LOADER_HOLES[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert main([command, str(path)]) == EXIT_SCENARIO_ERROR
+    assert diagnostic in capsys.readouterr().err
+
+
 def test_run_voted_unmapped_address_exits_two(tmp_path, capsys):
     # both halves of a 2oo2 group corrupt the same address bit, so the voted
     # bus unanimously agrees on an unmapped address: a modelled bus error

@@ -1,0 +1,127 @@
+"""Generated malformed input: every field the loaders know, each wrong value.
+
+The scenario fields come from the dataclasses the loader reads them from, so
+a field added there is probed here without a new case.  A scenario load must
+succeed or raise ``ScenarioError``; a sweep spec must be rejected with a
+``ValidationError`` that names the key."""
+
+from __future__ import annotations
+
+import copy
+import math
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+import yaml
+
+from lockstepsim import ExternalTrigger, FaultSpec, Flags, MoonConfig
+from lockstepsim.cli import EXIT_SCENARIO_ERROR, main
+from lockstepsim.scenario import (
+    _SCENARIO_KEYS,
+    ScenarioError,
+    ValidationError,
+    load_scenario,
+    parse_yaml,
+)
+from lockstepsim.sweep import sweep_from_dict
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
+SWEEP_SPECS = ("arrivals_2oo3.sweep", "faults_2oo3.sweep")
+
+WRONG_VALUES = (True, 1.5, "x", [1], {"a": 1}, None, 10**400, -1, 2**64, math.nan, math.inf)
+
+
+def base_scenario() -> dict:
+    """fig5 with every optional part present once."""
+    doc = yaml.safe_load((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    doc["flags"] = {"random_selection": False}
+    doc["noise"] = {"flip_probability": 0.1}
+    doc["triggers"] = [{"cycle": 3, "source": "external_in_scope"}]
+    doc["faults"] = [{"target": 2, "kind": "bit_flip_data", "bit": 1, "at_safe_instr": 0}]
+    return doc
+
+
+def names(cls) -> list:
+    return [f.name for f in fields(cls)]
+
+
+# a field path is a tuple of keys and indexes into the document
+SCENARIO_PATHS = (
+    [(key,) for key in sorted(_SCENARIO_KEYS)]
+    + [("moon", key) for key in names(MoonConfig)]
+    + [("flags", key) for key in names(Flags)]
+    + [("noise", "flip_probability")]
+    + [("triggers", 0, key) for key in names(ExternalTrigger)]
+    + [("faults", 0, key) for key in names(FaultSpec)]
+    + [("programs", 0), ("programs", 0, 0), ("safe_program", 0), ("irq_latency", 0)]
+)
+
+
+def substituted(doc, path, value) -> str:
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for step in path[:-1]:
+        inner = inner[step]
+    inner[path[-1]] = value
+    return yaml.safe_dump(doc)
+
+
+def spelled(path) -> str:
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
+def test_base_scenario_loads():
+    load_scenario(yaml.safe_dump(base_scenario()))
+
+
+@pytest.mark.parametrize("path", SCENARIO_PATHS, ids=spelled)
+def test_a_wrong_scenario_value_is_a_scenario_error_or_accepted(path):
+    base = base_scenario()
+    escaped = []
+    for value in WRONG_VALUES:
+        try:
+            load_scenario(substituted(base, path, value))
+        except ScenarioError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the point of the test
+            escaped.append(f"{value!r:.40}: {exc!r:.200}")
+    assert escaped == []
+
+
+@pytest.mark.parametrize("name", SWEEP_SPECS)
+def test_a_wrong_sweep_value_is_rejected_by_key(name):
+    base = yaml.safe_load((SCENARIO_DIR / "sweeps" / name).read_text(encoding="utf-8"))
+    for key in base:
+        for value in WRONG_VALUES:
+            text = substituted(base, (key,), value)
+            with pytest.raises(ValidationError) as exc:
+                sweep_from_dict(parse_yaml(text, "sweep spec"))
+            assert exc.value.field_path == key, (value, str(exc.value))
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("noise", "flip_probability"), 10**400),
+        (("triggers", 0, "bogus"), 1),
+        (("faults", 0, "bit"), math.nan),
+        (("moon", "t_exec"), [1]),
+        (("programs", 0, 0), None),
+    ],
+    ids=lambda v: spelled(v) if isinstance(v, tuple) else None,
+)
+def test_wrong_scenario_values_exit_three(tmp_path, capsys, path, value):
+    scn = tmp_path / "bad.scn"
+    scn.write_text(substituted(base_scenario(), path, value))
+    assert main(["validate", str(scn)]) == EXIT_SCENARIO_ERROR
+    assert spelled(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("mode", [1]), ("m_agree", math.inf), ("n_required", 10**400)])
+def test_wrong_sweep_values_exit_three(tmp_path, capsys, key, value):
+    base = yaml.safe_load((SCENARIO_DIR / "sweeps" / "faults_2oo3.sweep").read_text(encoding="utf-8"))
+    spec = tmp_path / "bad.sweep"
+    spec.write_text(substituted(base, (key,), value))
+    assert main(["sweep", str(spec)]) == EXIT_SCENARIO_ERROR
+    assert f"scenario error: {key}: " in capsys.readouterr().err

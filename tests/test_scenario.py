@@ -134,7 +134,9 @@ def test_yaml_syntax_error_carries_location():
         ("x: 1\r\nb: \u00e9\r\nc: [@]\n", 3, 5, "@"),
     ],
 )
-def test_parse_error_location_is_exact(text, line, column, char):
+@pytest.mark.parametrize("loader", [Loader, yaml.SafeLoader], ids=["default", "pure_python"])
+def test_parse_error_location_is_exact(monkeypatch, loader, text, line, column, char):
+    monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
     with pytest.raises(ParseError) as exc:
         load_scenario(text)
     message = str(exc.value)

@@ -4,8 +4,9 @@ and a couple of quick end-to-end sweeps at reduced scale."""
 from __future__ import annotations
 
 import pytest
+import yaml
 
-from lockstepsim.scenario import ScenarioError
+from lockstepsim.scenario import Loader, ParseError, ScenarioError, ValidationError, load_scenario
 from lockstepsim.sweep import (
     SweepPoint,
     SweepResult,
@@ -135,23 +136,30 @@ def test_arrival_spec_runs():
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,path",
     [
-        "not a mapping",
-        {},
-        {"mode": "nonsense"},
-        {"mode": "arrivals", "n_blocks": 2, "n_required": 2},  # m_agree missing
-        {"mode": "arrivals", "n_blocks": 99, "n_required": 2, "m_agree": 2},
-        {"mode": "arrivals", "n_blocks": 2, "n_required": 2, "m_agree": 2, "zz": 1},
-        {"mode": "arrivals", "n_blocks": True, "n_required": 2, "m_agree": 2},
-        {"mode": "faults", "n_required": 3, "m_agree": 2, "placements": "some"},
-        {"mode": "faults", "n_required": 3, "m_agree": 2, "spares": 9},
-        {"mode": "faults", "n_required": 3, "m_agree": 2, "max_simultaneous": 3},
+        ("not a mapping", "mode"),
+        ({}, "mode"),
+        ({"mode": "nonsense"}, "mode"),
+        ({"mode": "arrivals", "n_blocks": 2, "n_required": 2}, "m_agree"),  # m_agree missing
+        ({"mode": "arrivals", "n_blocks": 99, "n_required": 2, "m_agree": 2}, "n_blocks"),
+        ({"mode": "arrivals", "n_blocks": 2, "n_required": 2, "m_agree": 2, "zz": 1}, "zz"),
+        ({"mode": "arrivals", "n_blocks": True, "n_required": 2, "m_agree": 2}, "n_blocks"),
+        ({"mode": "faults", "n_required": 3, "m_agree": 2, "placements": "some"}, "placements"),
+        ({"mode": "faults", "n_required": 3, "m_agree": 2, "latency_max": 1}, "latency_max"),
+        ({"mode": "faults", "n_required": 3, "m_agree": 2, "spares": 9}, "spares"),
+        ({"mode": "faults", "n_required": 3, "m_agree": 2, "max_simultaneous": 3}, "max_simultaneous"),
+        # unknown keys that do not sort against each other; the first one is named
+        ({"mode": "arrivals", "n_blocks": 2, "n_required": 2, "m_agree": 2, 1: 1, "zz": 1}, "1"),
+        # legal ranges, illegal pair: rejected before the reference run
+        ({"mode": "faults", "n_required": 4, "m_agree": 3}, "m_agree"),
+        ({"mode": "arrivals", "n_blocks": 4, "n_required": 4, "m_agree": 3}, "m_agree"),
     ],
 )
-def test_bad_sweep_specs_are_rejected(doc):
-    with pytest.raises(ScenarioError):
+def test_bad_sweep_specs_are_rejected(doc, path):
+    with pytest.raises(ValidationError) as exc:
         sweep_from_dict(doc)
+    assert exc.value.field_path == path
 
 
 def test_load_sweep_file(tmp_path):
@@ -170,3 +178,25 @@ def test_load_sweep_file_errors(tmp_path):
     bad.write_text("mode: [unclosed\n")
     with pytest.raises(ScenarioError):
         load_sweep_file(str(bad))
+
+
+@pytest.mark.parametrize("loader", [Loader, yaml.SafeLoader], ids=["default", "pure_python"])
+def test_sweep_parse_errors_are_located_like_scenario_errors(tmp_path, monkeypatch, loader):
+    monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
+    text = "mode: arrivals\nn_blocks: [2\nn_required: 2\n"
+    spec = tmp_path / "bad.sweep"
+    spec.write_text(text)
+    with pytest.raises(ParseError) as from_spec:
+        load_sweep_file(str(spec))
+    with pytest.raises(ParseError) as from_scenario:
+        load_scenario(text)
+    assert (from_spec.value.line, from_spec.value.column) == (3, 11)
+    assert str(from_spec.value) == str(from_scenario.value)
+    assert str(from_spec.value).endswith(": ':'")
+
+
+def test_empty_sweep_file_is_a_parse_error(tmp_path):
+    spec = tmp_path / "empty.sweep"
+    spec.write_text("# nothing here\n")
+    with pytest.raises(ParseError, match="empty sweep spec"):
+        load_sweep_file(str(spec))
