@@ -134,15 +134,15 @@ class ProcessingBlock:
         out.state_changes.append((self.state, new))
         self.state = new
 
-    def _enter_sync(self, out: TickOutput, cycle: int):
+    def _enter_sync(self, out: TickOutput):
         self.saved_pc = self.pc
         self._change(out, BlockState.AWAITING_SYNC)
-        out.tx = BusTransaction(self.block_id, cycle, TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+        out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
         out.tx_role = "sync"
 
-    def _enter_exit(self, out: TickOutput, cycle: int):
+    def _enter_exit(self, out: TickOutput):
         self._change(out, BlockState.AWAITING_EXIT)
-        out.tx = BusTransaction(self.block_id, cycle, TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+        out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
         out.tx_role = "exit"
 
     def _safe_index(self) -> int:
@@ -161,7 +161,7 @@ class ProcessingBlock:
 
     # -- the tick ----------------------------------------------------------
 
-    def tick(self, cycle: int, response: Optional[int] = None) -> TickOutput:
+    def tick(self, response: Optional[int] = None) -> TickOutput:
         """Advance one cycle.  ``response`` carries the completion of a bus
         transaction issued earlier (sync/exit release value or data answer)."""
         out = TickOutput()
@@ -205,7 +205,7 @@ class ProcessingBlock:
             if self._jitter_left > 0:
                 return out
             self._jitter_left = None
-            self._enter_sync(out, cycle)
+            self._enter_sync(out)
             return out
 
         # instruction boundary
@@ -215,16 +215,16 @@ class ProcessingBlock:
                 self._jitter_left = self.sync_delay
                 self.sync_delay = 0
                 return out
-            self._enter_sync(out, cycle)
+            self._enter_sync(out)
             return out
 
-        return self._execute(out, cycle)
+        return self._execute(out)
 
-    def _execute(self, out: TickOutput, cycle: int) -> TickOutput:
+    def _execute(self, out: TickOutput) -> TickOutput:
         if self.state is BlockState.SAFE_PROCESSING:
             instr = self._fetch_safe()
             if instr is None:
-                self._enter_exit(out, cycle)
+                self._enter_exit(out)
                 return out
         else:
             if self.pc >= len(self.program):
@@ -238,13 +238,11 @@ class ProcessingBlock:
             if self._compute_left == 0:
                 self.pc += 1
         elif isinstance(instr, Read):
-            out.tx = BusTransaction(self.block_id, cycle, TxKind.READ, instr.address)
+            out.tx = BusTransaction(TxKind.READ, instr.address)
             out.tx_role = "data"
             self._waiting = True
         elif isinstance(instr, Write):
-            out.tx = BusTransaction(
-                self.block_id, cycle, TxKind.WRITE, instr.address, instr.data
-            )
+            out.tx = BusTransaction(TxKind.WRITE, instr.address, instr.data)
             out.tx_role = "data"
             self._waiting = True
         elif isinstance(instr, TriggerSP):

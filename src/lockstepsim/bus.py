@@ -71,13 +71,11 @@ class UnmappedAddress(Exception):
 class BusTransaction:
     """One bus transfer as seen on a block's port.
 
-    ``data`` is the write payload and is forced to zero for reads so that
-    compare-matrix equality over (kind, address, data) is well defined.
-    ``block_id`` and ``cycle`` are bookkeeping; :func:`tx_equal` ignores them.
+    ``data`` is the write payload and is forced to zero for reads, so that
+    equality over (kind, address, data), the voter's compare-matrix
+    equality, is well defined.
     """
 
-    block_id: int
-    cycle: int
     kind: TxKind
     address: int
     data: int = 0
@@ -86,17 +84,9 @@ class BusTransaction:
         self.address &= WORD_MASK
         self.data = 0 if self.kind is TxKind.READ else self.data & WORD_MASK
 
-    def vote_key(self):
-        return (self.kind, self.address, self.data)
-
     def short(self) -> str:
         tag = "R" if self.kind is TxKind.READ else "W"
         return f"{tag}:{self.address:08X}:{self.data:08X}"
-
-
-def tx_equal(a: BusTransaction, b: BusTransaction) -> bool:
-    """Compare-matrix equality: kind, address and data only."""
-    return a.vote_key() == b.vote_key()
 
 
 @dataclass

@@ -16,12 +16,13 @@ executes seven phases in a fixed order:
 Responses produced in phases 4-5 of cycle t reach the issuing block at its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
-The system-level machine is Boot, then NormalProcessing (or SafeState on a
-failed boot check); a session request moves it to Synchronizing, admission to
-SafeProcessingMode, completed release back to NormalProcessing.  An
-availability error freezes the monitor and drops the system into SafeState,
-which is absorbing and ends the simulation; only the terminal marker event
-may follow.
+The system state is Boot, then NormalProcessing (or SafeState on a failed
+boot check).  From then on phase 7 reads it off the monitor: SafeState once an
+availability error has frozen the monitor, otherwise idle -> NormalProcessing,
+gathering -> Synchronizing, lockstep and releasing -> SafeProcessingMode.
+Every change is checked against ``trace.ALLOWED_SYSTEM_ARCS``; an arc outside
+it is a simulator bug.  SafeState is absorbing and ends the simulation; only
+the terminal marker event may follow.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .bus import (
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
 from .scenario import Scenario, scenario_digest, validate_scenario
-from .trace import TraceEvent
+from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
 
 class SimInternalError(Exception):
@@ -61,12 +62,12 @@ class SystemState(Enum):
     SAFE_PROCESSING_MODE = "safe_processing_mode"
 
 
-# phase-7 session transitions: target -> (required source, cause); the safe
-# state is entered from any state
-_SESSION_ARCS = {
-    SystemState.SYNCHRONIZING: (SystemState.NORMAL_PROCESSING, "session request"),
-    SystemState.SAFE_PROCESSING_MODE: (SystemState.SYNCHRONIZING, "lockstep entry"),
-    SystemState.NORMAL_PROCESSING: (SystemState.SAFE_PROCESSING_MODE, "session completion"),
+# the system state of each monitor state while the monitor is not frozen
+_SYSTEM_STATE_OF = {
+    SyncState.IDLE: SystemState.NORMAL_PROCESSING,
+    SyncState.GATHERING: SystemState.SYNCHRONIZING,
+    SyncState.LOCKSTEP: SystemState.SAFE_PROCESSING_MODE,
+    SyncState.RELEASING: SystemState.SAFE_PROCESSING_MODE,
 }
 
 
@@ -95,18 +96,9 @@ class World:
         self.held_tx: Dict[int, BusTransaction] = {}
         self.pending_irq: Dict[int, List[int]] = {}  # deliver_cycle -> block ids
         self.request_queue: List[Tuple[object, TriggerSource]] = []
-        self.sessions = self.monitor.sessions
-        self.counters = {
-            "accepted": 0,
-            "rejected": 0,
-            "masked_fault_cycles": 0,
-            "no_majority_cycles": 0,
-            "availability_errors": 0,
-        }
-        self.end_reason: Optional[str] = None
-        self.boot_result: Optional[str] = None
-        # system states made due in phases 4-6 of this cycle, entered in phase 7
-        self._due_states: List[SystemState] = []
+        # what no session record holds; the rest of the report reads the monitor
+        self.counters = {"rejected": 0, "masked_fault_cycles": 0}
+        self.end_reason = "max_cycles"
 
     # -- trace -------------------------------------------------------------
 
@@ -116,6 +108,10 @@ class World:
 
     def _set_system_state(self, new: SystemState) -> None:
         old = self.system_state
+        if (old.value, new.value) not in ALLOWED_SYSTEM_ARCS:
+            raise SimInternalError(
+                f"illegal system transition {old.value} -> {new.value} (cycle {self.cycle})"
+            )
         self.system_state = new
         self.emit(7, "system", "state_change", {"from": old.value, "to": new.value})
 
@@ -125,7 +121,6 @@ class World:
         if self.system_state is not SystemState.BOOT:
             raise SimInternalError("boot called twice")
         mode = self.monitor.configure(self.scenario.moon)
-        self.boot_result = self.scenario.boot_check
         self.emit(
             1,
             "system",
@@ -172,7 +167,7 @@ class World:
         system_queue: List[Tuple[int, BusTransaction]] = []
         for b in self.blocks:
             response = self.mailbox.pop(b.block_id, None)
-            out = b.tick(c, response)
+            out = b.tick(response)
             for target, detail in self.fault_engine.drain_events():
                 self.emit(3, target, "fault_applied", detail)
             for old, new in out.state_changes:
@@ -212,25 +207,20 @@ class World:
         # phase 6: observer
         reason = self.monitor.observe(c)
         if reason is not None:
-            self.counters["availability_errors"] += 1
             detail = {"reason": reason}
             if reason == "gather_timeout":
                 detail["budget"] = self.scenario.moon.t_gather
             elif reason == "exec_timeout":
                 detail["budget"] = self.scenario.moon.t_exec
             self.emit(6, "monitor", "availability_error", detail)
-            self._due_states.append(SystemState.SAFE_STATE)
 
-        # phase 7: system transitions, in the order phases 4-6 made them due
-        for new in self._due_states:
-            if new in _SESSION_ARCS:
-                source, cause = _SESSION_ARCS[new]
-                if self.system_state is not source:
-                    raise SimInternalError(
-                        f"{cause} while system in {self.system_state.value} (cycle {c})"
-                    )
+        # phase 7: the system state follows the monitor's
+        if self.monitor.frozen:
+            new = SystemState.SAFE_STATE
+        else:
+            new = _SYSTEM_STATE_OF[self.monitor.sync_state]
+        if new is not self.system_state:
             self._set_system_state(new)
-        self._due_states.clear()
 
     # -- phase helpers ------------------------------------------------------
 
@@ -251,7 +241,6 @@ class World:
                         b.raise_irq()
                     else:
                         self.pending_irq.setdefault(c + latency, []).append(b.block_id)
-                self._due_states.append(SystemState.SYNCHRONIZING)
             else:
                 self.emit(
                     4,
@@ -278,12 +267,10 @@ class World:
         for b_id in session.accepted:
             self.mailbox[b_id] = LockstepMonitor.ACCEPT
             self.emit(4, "monitor", "accept", {"block": b_id, "response": 1})
-            self.counters["accepted"] += 1
         for b_id in session.rejected:
             self._reject(b_id, "surplus")
         self.emit(4, "monitor", "irq_deassert", {})
         self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
-        self._due_states.append(SystemState.SAFE_PROCESSING_MODE)
 
     def _reject(self, b_id: int, context: str) -> None:
         self.mailbox[b_id] = LockstepMonitor.REJECT
@@ -306,7 +293,6 @@ class World:
         self.emit(4, "monitor", "release", {"blocks": released, "response": 1})
         self.emit(4, "monitor", "state_change", {"from": "releasing", "to": "idle"})
         self.held_tx.clear()
-        self._due_states.append(SystemState.NORMAL_PROCESSING)
 
     def _phase_commit(self, c: int, system_queue: List[Tuple[int, BusTransaction]]) -> None:
         for b_id, tx in system_queue:
@@ -328,9 +314,7 @@ class World:
         for b_id in members:
             blk = self.blocks[b_id]
             if blk.state is BlockState.AWAITING_EXIT:
-                port_inputs.append(
-                    (b_id, BusTransaction(b_id, c, TxKind.READ, LOCKSTEP_SYNC_ADDRESS))
-                )
+                port_inputs.append((b_id, BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)))
             elif b_id in self.held_tx:
                 port_inputs.append((b_id, self.held_tx[b_id]))
             else:
@@ -348,7 +332,6 @@ class World:
             },
         )
         if result.no_majority:
-            self.counters["no_majority_cycles"] += 1
             self.emit(5, "monitor", "no_majority", {"ports": result.ports})
             return
         if result.disagreement:
@@ -399,18 +382,13 @@ class World:
         limit = self.scenario.max_cycles if max_cycles is None else max_cycles
         if self.system_state is SystemState.BOOT:
             self.boot()
+        while self.system_state is not SystemState.SAFE_STATE and self.cycle < limit:
+            self.step()
+            if self.quiescent():
+                self.end_reason = "all_halted"
+                break
         if self.system_state is SystemState.SAFE_STATE:
             self.end_reason = "safe_state"
-        else:
-            self.end_reason = "max_cycles"
-            while self.cycle < limit:
-                self.step()
-                if self.system_state is SystemState.SAFE_STATE:
-                    self.end_reason = "safe_state"
-                    break
-                if self.quiescent():
-                    self.end_reason = "all_halted"
-                    break
         self.emit(7, "system", "halt", {"reason": self.end_reason})
 
 
@@ -486,23 +464,24 @@ def run(
     """Run a scenario to completion and summarize."""
     world = World(scenario, seed=seed, trace_enabled=trace_enabled)
     world.run(max_cycles=max_cycles)
-    completed = sum(1 for s in world.sessions if s.outcome == "completed")
+    sessions = world.monitor.sessions
     return Report(
         scenario_name=scenario.name,
         effective_seed=world.effective_seed,
         version=VERSION,
         scenario=scenario,
-        boot_result=world.boot_result or "pass",
+        boot_result=scenario.boot_check,
         final_state=world.system_state.value,
-        end_reason=world.end_reason or "max_cycles",
+        end_reason=world.end_reason,
         cycles_run=world.cycle,
-        sessions=[asdict(s) for s in world.sessions],
-        sessions_completed=completed,
-        accepted=world.counters["accepted"],
+        sessions=[asdict(s) for s in sessions],
+        sessions_completed=sum(s.outcome == "completed" for s in sessions),
+        accepted=sum(len(s.accepted) for s in sessions),
         rejected=world.counters["rejected"],
         masked_fault_cycles=world.counters["masked_fault_cycles"],
-        no_majority_cycles=world.counters["no_majority_cycles"],
-        availability_errors=world.counters["availability_errors"],
+        # the first availability error freezes the monitor and ends the run
+        no_majority_cycles=sum(s.outcome == "no_majority" for s in sessions),
+        availability_errors=int(world.monitor.frozen),
         ls_ram=dict(world.memory.ls_ram),
         io_log=list(world.memory.io_log),
         memory_digest=memory_digest(world.memory.ls_ram, world.memory.io_log),

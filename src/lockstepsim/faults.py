@@ -144,13 +144,9 @@ class FaultEngine:
         for spec in self._armed_flips.pop(block_id, ()):
             before = tx.short()
             if spec.kind is FaultKind.BIT_FLIP_DATA:
-                tx = BusTransaction(
-                    tx.block_id, tx.cycle, tx.kind, tx.address, tx.data ^ (1 << spec.bit)
-                )
+                tx = BusTransaction(tx.kind, tx.address, tx.data ^ (1 << spec.bit))
             else:
-                tx = BusTransaction(
-                    tx.block_id, tx.cycle, tx.kind, tx.address ^ (1 << spec.bit), tx.data
-                )
+                tx = BusTransaction(tx.kind, tx.address ^ (1 << spec.bit), tx.data)
             events.append(
                 (
                     block_id,

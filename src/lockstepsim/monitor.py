@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
-from .bus import BusTransaction, tx_equal
+from .bus import BusTransaction
 
 
 class InvalidConfig(ValueError):
@@ -98,13 +98,6 @@ class VoteResult:
         return None if self.selected is None else self.ports[self.selected]
 
 
-def _inputs_equal(a: Optional[BusTransaction], b: Optional[BusTransaction]) -> bool:
-    # absence is a value equal only to other absences
-    if a is None or b is None:
-        return a is None and b is None
-    return tx_equal(a, b)
-
-
 def run_vote(
     inputs: Sequence[Optional[BusTransaction]],
     m_agree: int,
@@ -114,7 +107,8 @@ def run_vote(
     n = len(inputs)
     if ports is None:
         ports = list(range(n))
-    matrix = [[_inputs_equal(inputs[i], inputs[j]) for j in range(n)] for i in range(n)]
+    # absence (None) is a value equal only to other absences
+    matrix = [[a == b for b in inputs] for a in inputs]
     counts = [sum(row) for row in matrix]
     winner = next((i for i in range(n) if counts[i] >= m_agree), None)
     result = VoteResult(ports=list(ports), matrix=matrix, selected=None, forwarded=None)

@@ -47,7 +47,16 @@ from .monitor import InvalidConfig, MoonConfig
 
 # libyaml when PyYAML was built with it; both give the same documents and the
 # same dumped bytes, so digests do not depend on which one is present.
-Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    def construct_object(self, node, deep=False):
+        """Locate a scalar the constructor cannot build, such as an integer
+        past Python's digit limit or a timestamp with month 13, at its node."""
+        try:
+            return super().construct_object(node, deep)
+        except ValueError as exc:
+            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
+
+
 Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # the line breaks YAML counts when it reports an error's line
@@ -241,14 +250,14 @@ def parse_yaml(text: str, what: str) -> Dict:
         message = exc.problem or "malformed YAML"
         if mark is None:
             raise ParseError(message) from exc
-        # libyaml does not name the offending character; name it here
+        # libyaml does not name the offending character; name it here.  A
+        # constructor error marks a node, not a character.
         lines = _YAML_LINE_BREAK.split(text)
-        if mark.line < len(lines) and mark.column < len(lines[mark.line]):
+        names_char = not isinstance(exc, yaml.constructor.ConstructorError)
+        if names_char and mark.line < len(lines) and mark.column < len(lines[mark.line]):
             message += f": {lines[mark.line][mark.column]!r}"
         raise ParseError(message, mark.line + 1, mark.column + 1) from exc
-    except (yaml.YAMLError, ValueError) as exc:
-        # ValueError: a scalar the constructor cannot build, such as an
-        # integer past Python's digit limit or a timestamp with month 13
+    except yaml.YAMLError as exc:
         raise ParseError(str(exc)) from exc
     if doc is None:
         raise ParseError(f"empty {what}")

@@ -181,6 +181,7 @@ def system_state_path(events: List[TraceEvent]) -> List[str]:
             path.append(ev.detail["to"])
     return path
 
+# the only table of system-state arcs: the engine refuses any other change
 ALLOWED_SYSTEM_ARCS = frozenset(
     {
         ("boot", "normal_processing"),

@@ -352,7 +352,7 @@ def test_criterion_5_voter_oracle():
                     tx = (
                         None
                         if ci == absent
-                        else BusTransaction(members[0], 1, TxKind.WRITE, LS_RAM_BASE, 100 + ci)
+                        else BusTransaction(TxKind.WRITE, LS_RAM_BASE, 100 + ci)
                     )
                     for i in members:
                         inputs[i] = tx

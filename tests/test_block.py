@@ -13,6 +13,7 @@ from lockstepsim import (
     LOCKSTEP_SYNC_ADDRESS,
     SAFECODE_START,
     BlockState,
+    BusTransaction,
     Compute,
     Halt,
     ProcessingBlock,
@@ -34,7 +35,7 @@ def drain(block, cycles, responses=None):
     responses = responses or {}
     outs = []
     for c in range(1, cycles + 1):
-        outs.append((c, block.tick(c, responses.get(c))))
+        outs.append((c, block.tick(responses.get(c))))
     return outs
 
 
@@ -44,11 +45,11 @@ def drain(block, cycles, responses=None):
 @pytest.mark.parametrize("duration", [1, 2, 3, 7])
 def test_compute_occupies_exactly_d_ticks(duration):
     block = make_block([Compute(duration), Halt()])
-    for c in range(1, duration + 1):
-        block.tick(c)
+    for _ in range(duration):
+        block.tick()
         assert block.state is BlockState.NORMAL_PROCESSING
     assert block.pc == 1  # compute retired
-    block.tick(duration + 1)
+    block.tick()
     assert block.state is BlockState.HALTED
 
 
@@ -56,20 +57,20 @@ def test_back_to_back_computes():
     block = make_block([Compute(2), Compute(3), Halt()])
     drain(block, 5)
     assert block.pc == 2
-    block.tick(6)
+    block.tick()
     assert block.state is BlockState.HALTED
 
 
 def test_bus_op_issue_then_one_cycle_stall():
     block = make_block([Write(0x100, 1), Write(0x101, 2), Halt()])
-    out1 = block.tick(1)
+    out1 = block.tick()
     assert out1.tx is not None and out1.tx.address == 0x100
     assert out1.tx_role == "data"
-    out2 = block.tick(2)  # no response yet: still stalled
+    out2 = block.tick()  # no response yet: still stalled
     assert out2.tx is None
-    out3 = block.tick(3, response=0)  # completion + fall-through
+    out3 = block.tick(response=0)  # completion + fall-through
     assert out3.tx is not None and out3.tx.address == 0x101
-    block.tick(4, response=0)
+    block.tick(response=0)
     assert block.state is BlockState.HALTED
 
 
@@ -77,7 +78,7 @@ def test_unstalled_bus_ops_issue_every_cycle():
     block = make_block([Write(0x100, 1), Write(0x101, 2), Read(0x100), Halt()])
     issued = []
     for c in range(1, 5):
-        out = block.tick(c, response=0 if c > 1 else None)
+        out = block.tick(response=0 if c > 1 else None)
         if out.tx is not None:
             issued.append((c, out.tx.address))
     assert issued == [(1, 0x100), (2, 0x101), (3, 0x100)]
@@ -85,10 +86,10 @@ def test_unstalled_bus_ops_issue_every_cycle():
 
 def test_program_end_halts():
     block = make_block([Compute(1)])
-    block.tick(1)
-    out = block.tick(2)
+    block.tick()
+    out = block.tick()
     assert out.state_changes == [(BlockState.NORMAL_PROCESSING, BlockState.HALTED)]
-    assert block.tick(3).tx is None  # halted blocks do nothing
+    assert block.tick().tx is None  # halted blocks do nothing
 
 
 # -- interrupt handling -----------------------------------------------------------
@@ -97,12 +98,12 @@ def test_program_end_halts():
 def test_irq_taken_at_instruction_boundary_only():
     """An IRQ latched mid-compute is honored only after the compute retires."""
     block = make_block([Compute(10), Halt()])
-    block.tick(1)
+    block.tick()
     assert block.raise_irq()
-    for c in range(2, 11):
-        out = block.tick(c)
+    for _ in range(2, 11):
+        out = block.tick()
         assert out.tx is None  # still computing
-    out = block.tick(11)
+    out = block.tick()
     assert out.tx_role == "sync"
     assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert out.tx.kind is TxKind.READ
@@ -112,19 +113,19 @@ def test_irq_taken_at_instruction_boundary_only():
 
 def test_irq_at_boundary_preempts_next_instruction():
     block = make_block([Compute(1), Write(0x100, 9), Halt()])
-    block.tick(1)
+    block.tick()
     block.raise_irq()
-    out = block.tick(2)
+    out = block.tick()
     assert out.tx_role == "sync"  # the write at pc=1 is deferred
     assert block.saved_pc == 1
 
 
 def test_halted_block_ignores_irq():
     block = make_block([Halt()])
-    block.tick(1)
+    block.tick()
     assert block.state is BlockState.HALTED
     assert not block.raise_irq()
-    assert block.tick(2).tx is None
+    assert block.tick().tx is None
 
 
 def test_no_show_knob_ignores_irq():
@@ -140,27 +141,27 @@ def test_no_show_knob_ignores_irq():
 def accepted_block():
     """A block already stalled on its sync read (saved_pc = 1)."""
     block = make_block([Compute(1), Write(0x55, 5), Halt()])
-    block.tick(1)
+    block.tick()
     block.raise_irq()
-    out = block.tick(2)
+    out = block.tick()
     assert out.tx_role == "sync"
     return block
 
 
 def test_accept_falls_through_into_safe_program():
     block = accepted_block()
-    out = block.tick(3, response=1)
+    out = block.tick(response=1)
     assert (BlockState.AWAITING_SYNC, BlockState.SAFE_PROCESSING) in out.state_changes
     assert block.pc == SAFECODE_START
     # the same tick already executes safe instruction 0
     assert out.tx is not None
     assert out.tx_role == "data"
-    assert out.tx.vote_key() == (TxKind.WRITE, 0x10000, 7)
+    assert out.tx == BusTransaction(TxKind.WRITE, 0x10000, 7)
 
 
 def test_reject_resumes_saved_pc_same_tick():
     block = accepted_block()
-    out = block.tick(3, response=0)
+    out = block.tick(response=0)
     assert (BlockState.AWAITING_SYNC, BlockState.REJECTED) in out.state_changes
     assert (BlockState.REJECTED, BlockState.NORMAL_PROCESSING) in out.state_changes
     assert block.state is BlockState.NORMAL_PROCESSING
@@ -171,16 +172,16 @@ def test_reject_resumes_saved_pc_same_tick():
 
 def test_stall_while_awaiting_sync():
     block = accepted_block()
-    for c in range(3, 8):
-        assert block.tick(c).tx is None, "no new tx may issue while stalled"
+    for _ in range(3, 8):
+        assert block.tick().tx is None, "no new tx may issue while stalled"
     assert block.state is BlockState.AWAITING_SYNC
 
 
 def test_safe_program_end_issues_exit_read():
     block = accepted_block()
-    block.tick(3, response=1)        # safe instr 0 (write) issued
-    block.tick(4, response=0)        # completes; safe instr 1 (read) issued
-    out = block.tick(5, response=0)  # completes; stream exhausted -> exit read
+    block.tick(response=1)  # safe instr 0 (write) issued
+    block.tick(response=0)  # completes; safe instr 1 (read) issued
+    out = block.tick(response=0)  # completes; stream exhausted -> exit read
     assert out.tx_role == "exit"
     assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert block.state is BlockState.AWAITING_EXIT
@@ -189,12 +190,12 @@ def test_safe_program_end_issues_exit_read():
 
 def test_release_resumes_own_program():
     block = accepted_block()
-    block.tick(3, response=1)
-    block.tick(4, response=0)
-    block.tick(5, response=0)
-    block.tick(6)  # stalled awaiting release
+    block.tick(response=1)
+    block.tick(response=0)
+    block.tick(response=0)
+    block.tick()  # stalled awaiting release
     assert block.state is BlockState.AWAITING_EXIT
-    out = block.tick(7, response=1)
+    out = block.tick(response=1)
     assert (BlockState.AWAITING_EXIT, BlockState.NORMAL_PROCESSING) in out.state_changes
     # fall-through executes the deferred own-program write
     assert out.tx is not None and out.tx.address == 0x55
@@ -204,10 +205,10 @@ def test_release_resumes_own_program():
 def test_release_value_is_ignored_beyond_arrival():
     for value in (1, 7, 255):
         block = accepted_block()
-        block.tick(3, response=1)
-        block.tick(4, response=0)
-        block.tick(5, response=0)
-        out = block.tick(6, response=value)
+        block.tick(response=1)
+        block.tick(response=0)
+        block.tick(response=0)
+        out = block.tick(response=value)
         assert block.state is BlockState.NORMAL_PROCESSING
         assert out.tx is not None and out.tx.address == 0x55
 
@@ -219,12 +220,12 @@ def test_release_value_is_ignored_beyond_arrival():
 def test_sync_delay_postpones_the_sync_read(delay):
     block = make_block([Compute(1), Compute(1), Halt()])
     block.sync_delay = delay
-    block.tick(1)
+    block.tick()
     block.raise_irq()
     # boundary at tick 2 consumes the latch but starts the jitter countdown
     reads = []
     for c in range(2, 2 + delay + 1):
-        out = block.tick(c)
+        out = block.tick()
         if out.tx is not None:
             reads.append(c)
     assert reads == [2 + delay]  # read lands delay cycles after the normal tick
@@ -234,7 +235,7 @@ def test_sync_delay_postpones_the_sync_read(delay):
 def test_sync_delay_is_one_shot():
     block = make_block([Compute(1), Compute(1), Compute(1), Halt()])
     block.sync_delay = 2
-    block.tick(1)
+    block.tick()
     block.raise_irq()
     drain(block, 3, responses={4: 0})
     assert block.sync_delay == 0
@@ -247,19 +248,19 @@ def test_fetch_hook_sees_each_safe_index():
     seen = []
     block = accepted_block()
     block.safe_fetch_hook = lambda blk, idx: seen.append(idx)
-    block.tick(3, response=1)
-    block.tick(4, response=0)
-    block.tick(5, response=0)  # index 2 is the end-of-stream probe
+    block.tick(response=1)
+    block.tick(response=0)
+    block.tick(response=0)  # index 2 is the end-of-stream probe
     assert seen == [0, 1, 2]
 
 
 def test_safe_override_swaps_the_remaining_stream():
     block = accepted_block()
     block.safe_override = (1, [Write(0x10004, 9)])
-    block.tick(3, response=1)            # instr 0 from the shared stream
-    out = block.tick(4, response=0)      # instr 1 comes from the override
-    assert out.tx.vote_key() == (TxKind.WRITE, 0x10004, 9)
-    out = block.tick(5, response=0)      # override exhausted -> exit read
+    block.tick(response=1)  # instr 0 from the shared stream
+    out = block.tick(response=0)  # instr 1 comes from the override
+    assert out.tx == BusTransaction(TxKind.WRITE, 0x10004, 9)
+    out = block.tick(response=0)  # override exhausted -> exit read
     assert out.tx_role == "exit"
 
 
@@ -268,7 +269,7 @@ def test_determinism_two_identical_blocks():
         block = make_block([Compute(2), Write(0x10, 1), Halt()])
         log = []
         for c in range(1, 7):
-            out = block.tick(c, response=0 if c == 4 else None)
+            out = block.tick(response=0 if c == 4 else None)
             log.append((out.tx.short() if out.tx else None, block.state, block.pc))
         return log
 

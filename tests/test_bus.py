@@ -28,7 +28,6 @@ from lockstepsim import (
     classify_address,
     run,
 )
-from lockstepsim.bus import tx_equal
 
 
 # -- address classification ----------------------------------------------------
@@ -62,35 +61,28 @@ def test_regions_are_disjoint_and_adjacent():
 # -- transaction equality --------------------------------------------------------
 
 
-def test_vote_key_ignores_bookkeeping():
-    a = BusTransaction(0, 10, TxKind.WRITE, 0x10000, 7)
-    b = BusTransaction(3, 99, TxKind.WRITE, 0x10000, 7)
-    assert tx_equal(a, b)
-    assert a.vote_key() == b.vote_key()
-
-
 @pytest.mark.parametrize(
     "kind,address,data",
     list(itertools.product([TxKind.READ, TxKind.WRITE], [0x10000, 0x10001], [0, 7])),
 )
 def test_tx_equal_differs_on_any_vote_field(kind, address, data):
-    base = BusTransaction(0, 1, TxKind.WRITE, 0x10000, 7)
-    other = BusTransaction(0, 1, kind, address, data)
+    base = BusTransaction(TxKind.WRITE, 0x10000, 7)
+    other = BusTransaction(kind, address, data)
     same = (
         kind is TxKind.WRITE and address == 0x10000 and data == 7
     )
-    assert tx_equal(base, other) == same
+    assert (base == other) == same
 
 
 def test_read_data_forced_to_zero():
-    tx = BusTransaction(0, 1, TxKind.READ, 0x10000, 12345)
+    tx = BusTransaction(TxKind.READ, 0x10000, 12345)
     assert tx.data == 0
-    assert tx_equal(tx, BusTransaction(1, 2, TxKind.READ, 0x10000, 0))
+    assert tx == BusTransaction(TxKind.READ, 0x10000, 0)
 
 
 def test_short_form():
-    w = BusTransaction(0, 1, TxKind.WRITE, 0x10000, 7)
-    r = BusTransaction(0, 1, TxKind.READ, 0x10000)
+    w = BusTransaction(TxKind.WRITE, 0x10000, 7)
+    r = BusTransaction(TxKind.READ, 0x10000)
     assert w.short() == "W:00010000:00000007"
     assert r.short() == "R:00010000:00000000"
 
@@ -99,11 +91,11 @@ def test_short_form():
 
 
 def _write(address, data):
-    return BusTransaction(0, 1, TxKind.WRITE, address, data)
+    return BusTransaction(TxKind.WRITE, address, data)
 
 
 def _read(address):
-    return BusTransaction(0, 1, TxKind.READ, address)
+    return BusTransaction(TxKind.READ, address)
 
 
 def test_system_ram_store_and_load():

@@ -130,10 +130,11 @@ LOADER_HOLES = {
     ),
     "long_seed.scn": (
         "run", FIG5_TEXT.replace("seed: 1", "seed: " + "1" * 5000).encode(),
-        "Exceeds the limit (4300 digits)",
+        "line 13, column 7: Exceeds the limit (4300 digits)",
     ),
     "month_13.scn": (
-        "run", FIG5_TEXT.replace("seed: 1", "seed: 2001-13-01").encode(), "month must be in 1..12",
+        "run", FIG5_TEXT.replace("seed: 1", "seed: 2001-13-01").encode(),
+        "line 13, column 7: month must be in 1..12",
     ),
 }
 

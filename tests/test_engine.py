@@ -35,6 +35,7 @@ from lockstepsim import (
 )
 from lockstepsim import engine
 from lockstepsim.faults import FaultKind, FaultSpec
+from lockstepsim.monitor import SessionRecord, SyncState
 from lockstepsim.scenario import ExternalTrigger
 from lockstepsim.sweep import build_masking_scenario
 from lockstepsim.trace import audit_event_order, audit_system_path
@@ -163,7 +164,25 @@ def test_session_transition_from_the_wrong_state_is_an_internal_error():
     world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
     world.boot()
     world.system_state = SystemState.SAFE_PROCESSING_MODE  # out of step with the monitor
-    with pytest.raises(SimInternalError, match="session request while system in safe_processing_mode"):
+    with pytest.raises(SimInternalError, match="illegal system transition safe_processing_mode -> synchronizing"):
+        world.step()
+
+
+def test_monitor_skipping_gathering_is_an_internal_error(monkeypatch):
+    world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
+    world.boot()
+    monitor = world.monitor
+
+    def request_straight_to_lockstep(cycle):  # a monitor bug: idle -> lockstep
+        monitor.sync_state = SyncState.LOCKSTEP
+        monitor.sessions.append(SessionRecord(gather_cycle=cycle, lockstep_cycle=cycle))
+        return True
+
+    monkeypatch.setattr(monitor, "request_sp", request_straight_to_lockstep)
+    with pytest.raises(
+        SimInternalError,
+        match="illegal system transition normal_processing -> safe_processing_mode",
+    ):
         world.step()
 
 
@@ -196,7 +215,7 @@ def test_rejected_requester_resumes_and_finishes_its_program():
     scenario.programs[0][2] = Write(0x44, 123)
     world = World(scenario)
     world.run()
-    session = world.sessions[0]
+    session = world.monitor.sessions[0]
     assert session.accepted == [1, 2]
     assert session.rejected == [0]
     assert world.memory.system_ram.get(0x44) == 123

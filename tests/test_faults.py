@@ -31,8 +31,8 @@ def make_blocks(n=2):
     ]
 
 
-def data_tx(data=7, address=0x10000, block=0):
-    return BusTransaction(block, 1, TxKind.WRITE, address, data)
+def data_tx(data=7, address=0x10000):
+    return BusTransaction(TxKind.WRITE, address, data)
 
 
 # -- activation windows -----------------------------------------------------------
@@ -67,7 +67,7 @@ def test_stuck_silent_suppresses_every_later_tx():
     assert tx is None and events == []
     tx, _ = eng.filter_tx(0, data_tx(), "sync")
     assert tx is None  # silence covers protocol reads too
-    tx, _ = eng.filter_tx(1, data_tx(block=1), "data")
+    tx, _ = eng.filter_tx(1, data_tx(), "data")
     assert tx is not None  # other blocks unaffected
 
 
@@ -172,7 +172,7 @@ def test_flips_never_touch_protocol_reads():
     )
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    sync = BusTransaction(0, 1, TxKind.READ, 0xFFFF0000)
+    sync = BusTransaction(TxKind.READ, 0xFFFF0000)
     tx, events = eng.filter_tx(0, sync, "sync")
     assert tx is sync and events == []
     # the flip stays armed for the next data transaction
@@ -255,7 +255,7 @@ def test_stochastic_flips_deterministic_per_seed():
         for c in range(1, 20):
             out.extend(eng.stochastic_flips(c, blocks, rng, 0.3))
             for b in blocks:
-                eng.filter_tx(b.block_id, data_tx(block=b.block_id), "data")
+                eng.filter_tx(b.block_id, data_tx(), "data")
         return out
 
     assert roll(7) == roll(7)

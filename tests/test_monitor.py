@@ -30,8 +30,8 @@ def monitor(n_blocks=4, n=3, m=2, **kw):
     return mon
 
 
-def wtx(data, address=0x10000, block=0):
-    return BusTransaction(block, 1, TxKind.WRITE, address, data)
+def wtx(data, address=0x10000):
+    return BusTransaction(TxKind.WRITE, address, data)
 
 
 # -- configuration ---------------------------------------------------------------
@@ -247,7 +247,7 @@ def test_monitor_is_reusable_after_release():
 def test_unanimous_vote_forwards_without_disagreement():
     result = run_vote([wtx(7), wtx(7), wtx(7)], m_agree=2)
     assert result.selected == 0
-    assert result.forwarded.vote_key() == (TxKind.WRITE, 0x10000, 7)
+    assert result.forwarded == BusTransaction(TxKind.WRITE, 0x10000, 7)
     assert not result.disagreement
     assert not result.no_majority
     assert not result.idle_majority
