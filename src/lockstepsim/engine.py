@@ -20,6 +20,9 @@ The system state is Boot, then NormalProcessing (or SafeState on a failed
 boot check).  From then on phase 7 reads it off the monitor: SafeState once an
 availability error has frozen the monitor, otherwise idle -> NormalProcessing,
 gathering -> Synchronizing, lockstep and releasing -> SafeProcessingMode.
+Requests run before entry, so a session can be requested and admitted in one
+phase 4 (sync reads on IRQs latched earlier); it is entered through
+Synchronizing.
 Every change is checked against ``trace.ALLOWED_SYSTEM_ARCS``; an arc outside
 it is a simulator bug.  SafeState is absorbing and ends the simulation; only
 the terminal marker event may follow.
@@ -198,6 +201,7 @@ class World:
         # phase 4: monitor rendezvous work
         self._phase_irq_delivery(c)
         self._phase_requests(c)
+        gathering = self.monitor.sync_state is SyncState.GATHERING
         self._phase_entry(c, sync_arrivals)
         self._phase_exit(c, exit_arrivals)
 
@@ -215,6 +219,8 @@ class World:
             self.emit(6, "monitor", "availability_error", detail)
 
         # phase 7: the system state follows the monitor's
+        if gathering and self.system_state is SystemState.NORMAL_PROCESSING:
+            self._set_system_state(SystemState.SYNCHRONIZING)
         if self.monitor.frozen:
             new = SystemState.SAFE_STATE
         else:
@@ -339,16 +345,11 @@ class World:
         if result.forwarded is None:
             return  # winning class is "no transaction": voted bus stays idle
         fwd = result.forwarded
+        detail = {"block": result.selected_block, "tx": fwd.short()}
         if fwd.address == LOCKSTEP_SYNC_ADDRESS:
             # exit reads win votes but stall at the monitor; release logic owns them
-            self.emit(
-                5,
-                "monitor",
-                "forward",
-                {"block": result.selected_block, "tx": fwd.short(), "stalled": 1},
-            )
+            self.emit(5, "monitor", "forward", dict(detail, stalled=1))
             return
-        detail = {"block": result.selected_block, "tx": fwd.short()}
         try:
             response = self.memory.issue(fwd, voted=True)
         except UnmappedAddress:
@@ -365,15 +366,12 @@ class World:
 
     # -- whole runs -----------------------------------------------------------
 
-    def all_halted(self) -> bool:
-        return all(b.state is BlockState.HALTED for b in self.blocks)
-
     def quiescent(self) -> bool:
         """Nothing can ever happen again: all blocks halted, no session in
         flight, no scheduled trigger still to come (a request raised against
         halted blocks must still run into its gathering timeout)."""
         return (
-            self.all_halted()
+            all(b.state is BlockState.HALTED for b in self.blocks)
             and self.monitor.sync_state is SyncState.IDLE
             and all(t.cycle <= self.cycle for t in self.scenario.triggers)
         )

@@ -45,18 +45,25 @@ from .bus import (
 from .faults import INSTRUCTION_WINDOW_KINDS, FaultKind, FaultSpec
 from .monitor import InvalidConfig, MoonConfig
 
+
+def make_loader(base: type) -> type:
+    """``base`` locating a scalar its constructor cannot build, such as an
+    integer past Python's digit limit or a timestamp with month 13, at its node."""
+
+    class Loader(base):
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as exc:
+                mark = node.start_mark
+                raise yaml.constructor.ConstructorError(None, None, str(exc), mark) from exc
+
+    return Loader
+
+
 # libyaml when PyYAML was built with it; both give the same documents and the
 # same dumped bytes, so digests do not depend on which one is present.
-class Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    def construct_object(self, node, deep=False):
-        """Locate a scalar the constructor cannot build, such as an integer
-        past Python's digit limit or a timestamp with month 13, at its node."""
-        try:
-            return super().construct_object(node, deep)
-        except ValueError as exc:
-            raise yaml.constructor.ConstructorError(None, None, str(exc), node.start_mark) from exc
-
-
+Loader = make_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 Dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # the line breaks YAML counts when it reports an error's line
@@ -250,11 +257,9 @@ def parse_yaml(text: str, what: str) -> Dict:
         message = exc.problem or "malformed YAML"
         if mark is None:
             raise ParseError(message) from exc
-        # libyaml does not name the offending character; name it here.  A
-        # constructor error marks a node, not a character.
+        # libyaml does not name the offending character; name it here
         lines = _YAML_LINE_BREAK.split(text)
-        names_char = not isinstance(exc, yaml.constructor.ConstructorError)
-        if names_char and mark.line < len(lines) and mark.column < len(lines[mark.line]):
+        if mark.line < len(lines) and mark.column < len(lines[mark.line]):
             message += f": {lines[mark.line][mark.column]!r}"
         raise ParseError(message, mark.line + 1, mark.column + 1) from exc
     except yaml.YAMLError as exc:

@@ -281,6 +281,84 @@ def test_back_to_back_sessions_reuse_the_monitor(n_blocks, n):
     assert report.sessions[1]["gather_cycle"] == 30
 
 
+# -- cycles in which the monitor moves more than one step ------------------------------
+#
+# Phase 4 runs requests, then entry, then exit, so one cycle can move the
+# monitor through two states.  The system path must still use allowed arcs.
+
+
+def steps_in_cycle(trace, entity, cycle):
+    return [
+        (e.detail["from"], e.detail["to"])
+        for e in trace
+        if e.cycle == cycle and e.entity == entity and e.kind == "state_change"
+    ]
+
+
+def test_session_requested_and_admitted_in_one_cycle_passes_through_synchronizing():
+    """Blocks 2 and 3 latch the first session's IRQ inside a long Compute and
+    issue their sync reads after it ended, in the cycle a second request
+    arrives.  The request opens gathering before entry admits them."""
+    scenario = group_scenario(
+        n_blocks=4,
+        n=2,
+        m=2,
+        triggers=[
+            ExternalTrigger(2, TriggerSource.EXTERNAL_IN_SCOPE),
+            ExternalTrigger(22, TriggerSource.EXTERNAL_IN_SCOPE),
+        ],
+        max_cycles=80,
+    )
+    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)] + [
+        [Compute(1), Compute(20)] + [Compute(1)] * 20 + [Halt()] for _ in range(2)
+    ]
+    report = run(scenario)
+    second = report.sessions[1]
+    assert (second["gather_cycle"], second["lockstep_cycle"]) == (22, 22)
+    assert second["accepted"] == [2, 3]
+    assert steps_in_cycle(report.trace, "monitor", 22) == [
+        ("idle", "gathering"),
+        ("gathering", "lockstep"),
+    ]
+    assert steps_in_cycle(report.trace, "system", 22) == [
+        ("normal_processing", "synchronizing"),
+        ("synchronizing", "safe_processing_mode"),
+    ]
+    assert report.sessions_completed == 2
+    audit_event_order(report.trace)
+    audit_system_path(report.trace)
+
+
+def test_group_exiting_together_is_released_in_one_arc():
+    report = run(group_scenario(n_blocks=4, n=2, m=2))
+    release = report.sessions[0]["release_cycle"]
+    assert steps_in_cycle(report.trace, "monitor", release) == [
+        ("lockstep", "releasing"),
+        ("releasing", "idle"),
+    ]
+    assert steps_in_cycle(report.trace, "system", release) == [
+        ("safe_processing_mode", "normal_processing")
+    ]
+
+
+def test_exit_read_and_availability_error_in_one_cycle():
+    # block 1 skips the whole safe program and exits while block 0 writes
+    scenario = group_scenario(n_blocks=4, n=2, m=2)
+    scenario.faults = [
+        FaultSpec(target=1, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[])
+    ]
+    report = run(scenario)
+    session = report.sessions[0]
+    assert session["accepted"] == [0, 1]
+    assert session["outcome"] == "no_majority"
+    error = next(e for e in report.trace if e.kind == "availability_error")
+    assert steps_in_cycle(report.trace, "monitor", error.cycle) == [("lockstep", "releasing")]
+    assert steps_in_cycle(report.trace, "system", error.cycle) == [
+        ("safe_processing_mode", "safe_state")
+    ]
+    audit_system_path(report.trace)
+
+
 # -- termination --------------------------------------------------------------------------
 
 

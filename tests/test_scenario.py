@@ -25,7 +25,7 @@ from lockstepsim import (
     scenario_digest,
     serialize_scenario,
 )
-from lockstepsim.scenario import Loader, format_instruction, scenario_to_dict
+from lockstepsim.scenario import Loader, format_instruction, make_loader, scenario_to_dict
 from lockstepsim.sweep import (
     DEFAULT_SAFE_PROGRAM,
     build_masking_scenario,
@@ -132,9 +132,10 @@ def test_yaml_syntax_error_carries_location():
         ("seed: @1\n", 1, 7, "@"),
         ("a: `x`\n", 1, 4, "`"),
         ("x: 1\r\nb: \u00e9\r\nc: [@]\n", 3, 5, "@"),
+        ("name: x\nseed: 2001-13-01\n", 2, 7, "2"),  # a value the constructor cannot build
     ],
 )
-@pytest.mark.parametrize("loader", [Loader, yaml.SafeLoader], ids=["default", "pure_python"])
+@pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
 def test_parse_error_location_is_exact(monkeypatch, loader, text, line, column, char):
     monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
     with pytest.raises(ParseError) as exc:

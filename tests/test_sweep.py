@@ -6,7 +6,14 @@ from __future__ import annotations
 import pytest
 import yaml
 
-from lockstepsim.scenario import Loader, ParseError, ScenarioError, ValidationError, load_scenario
+from lockstepsim.scenario import (
+    Loader,
+    ParseError,
+    ScenarioError,
+    ValidationError,
+    load_scenario,
+    make_loader,
+)
 from lockstepsim.sweep import (
     SweepPoint,
     SweepResult,
@@ -180,7 +187,7 @@ def test_load_sweep_file_errors(tmp_path):
         load_sweep_file(str(bad))
 
 
-@pytest.mark.parametrize("loader", [Loader, yaml.SafeLoader], ids=["default", "pure_python"])
+@pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
 def test_sweep_parse_errors_are_located_like_scenario_errors(tmp_path, monkeypatch, loader):
     monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
     text = "mode: arrivals\nn_blocks: [2\nn_required: 2\n"
