@@ -88,8 +88,7 @@ class BlockState(Enum):
 class TickOutput:
     """Everything a single tick produced, for the engine to route."""
 
-    tx: Optional[BusTransaction] = None
-    tx_role: Optional[str] = None  # "sync" | "exit" | "data"
+    tx: Optional[BusTransaction] = None  # its role is the state the tick ends in
     trigger: Optional[TriggerSource] = None
     state_changes: List[Tuple[BlockState, BlockState]] = field(default_factory=list)
 
@@ -138,12 +137,10 @@ class ProcessingBlock:
         self.saved_pc = self.pc
         self._change(out, BlockState.AWAITING_SYNC)
         out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
-        out.tx_role = "sync"
 
     def _enter_exit(self, out: TickOutput):
         self._change(out, BlockState.AWAITING_EXIT)
         out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
-        out.tx_role = "exit"
 
     def _safe_index(self) -> int:
         return self.pc - SAFECODE_START
@@ -239,11 +236,9 @@ class ProcessingBlock:
                 self.pc += 1
         elif isinstance(instr, Read):
             out.tx = BusTransaction(TxKind.READ, instr.address)
-            out.tx_role = "data"
             self._waiting = True
         elif isinstance(instr, Write):
             out.tx = BusTransaction(TxKind.WRITE, instr.address, instr.data)
-            out.tx_role = "data"
             self._waiting = True
         elif isinstance(instr, TriggerSP):
             out.trigger = instr.source

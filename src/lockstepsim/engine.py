@@ -5,11 +5,16 @@ executes seven phases in a fixed order:
 
 1. scheduled fault activation
 2. scheduled external triggers
-3. block ticks, ascending block id (transactions collected, not yet served)
+3. block ticks, ascending block id (transactions collected, not yet served;
+   the state a tick ends in names its transaction: a sync read, an exit
+   read, voted data or a system-bus access)
 4. monitor rendezvous work: IRQ latch delivery, session requests, entry
    arrivals and admission, exit arrivals and group release
 5. bus commit: system RAM (serialized by ascending block id), then the voted
-   safe bus (compare, select, forward, broadcast the completion)
+   safe bus (compare, select, forward, broadcast the completion).  Each
+   member's vote input is the transaction it put on the bus, exit reads
+   included, held until it is served or released; a silenced port presents
+   nothing.
 6. availability observer
 7. system-level state transitions
 
@@ -40,13 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__ as VERSION
 from .block import BlockState, ProcessingBlock, TriggerSource
-from .bus import (
-    LOCKSTEP_SYNC_ADDRESS,
-    BusTransaction,
-    MemoryMap,
-    TxKind,
-    UnmappedAddress,
-)
+from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
 from .scenario import Scenario, scenario_digest, validate_scenario
@@ -85,7 +84,7 @@ class World:
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
-        self.monitor = LockstepMonitor(scenario.n_blocks)
+        self.monitor = LockstepMonitor(scenario.moon)
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
             for i in range(scenario.n_blocks)
@@ -123,7 +122,7 @@ class World:
     def boot(self) -> None:
         if self.system_state is not SystemState.BOOT:
             raise SimInternalError("boot called twice")
-        mode = self.monitor.configure(self.scenario.moon)
+        mode = self.scenario.moon.validate()
         self.emit(
             1,
             "system",
@@ -151,12 +150,11 @@ class World:
         c = self.cycle
 
         # phase 1: scheduled fault activation, then seeded soak noise
-        for target, detail in self.fault_engine.on_cycle_start(c, self.blocks):
-            self.emit(1, target, "fault_applied", detail)
-        for target, detail in self.fault_engine.stochastic_flips(
-            c, self.blocks, self.rng, self.scenario.noise_flip_probability
-        ):
-            self.emit(1, target, "fault_applied", detail)
+        faults = self.fault_engine
+        faults.on_cycle_start(c, self.blocks)
+        faults.stochastic_flips(c, self.blocks, self.rng, self.scenario.noise_flip_probability)
+        if faults.pending_events:
+            self._emit_faults(1)
 
         # phase 2: scheduled external triggers
         for trig in self.scenario.triggers:
@@ -171,8 +169,8 @@ class World:
         for b in self.blocks:
             response = self.mailbox.pop(b.block_id, None)
             out = b.tick(response)
-            for target, detail in self.fault_engine.drain_events():
-                self.emit(3, target, "fault_applied", detail)
+            if faults.pending_events:
+                self._emit_faults(3)
             for old, new in out.state_changes:
                 self.emit(3, b.block_id, "state_change", {"from": old.value, "to": new.value})
                 if new is BlockState.HALTED:
@@ -182,21 +180,21 @@ class World:
                 self.request_queue.append((b.block_id, out.trigger))
             if out.tx is None:
                 continue
-            tx, fault_events = self.fault_engine.filter_tx(b.block_id, out.tx, out.tx_role)
-            for target, detail in fault_events:
-                self.emit(3, target, "fault_applied", detail)
+            tx = faults.filter_tx(b.block_id, out.tx)
+            if faults.pending_events:
+                self._emit_faults(3)
             if tx is None:
                 continue  # suppressed on the wire; the block stays stalled
-            if out.tx_role == "sync":
+            if b.state is BlockState.AWAITING_SYNC:
                 self.emit(3, b.block_id, "sync_read", {"address": f"0x{tx.address:08X}"})
                 sync_arrivals.append(b.block_id)
-            elif out.tx_role == "exit":
-                self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
-                exit_arrivals.append(b.block_id)
-            elif b.state is BlockState.SAFE_PROCESSING:
-                self.held_tx[b.block_id] = tx  # voted-bus port holds it until served
-            else:
+            elif b.state is BlockState.NORMAL_PROCESSING:
                 system_queue.append((b.block_id, tx))
+            else:  # voted-bus port: data or the exit read, held until served or released
+                self.held_tx[b.block_id] = tx
+                if b.state is BlockState.AWAITING_EXIT:
+                    self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
+                    exit_arrivals.append(b.block_id)
 
         # phase 4: monitor rendezvous work
         self._phase_irq_delivery(c)
@@ -229,6 +227,10 @@ class World:
             self._set_system_state(new)
 
     # -- phase helpers ------------------------------------------------------
+
+    def _emit_faults(self, phase: int) -> None:
+        for target, detail in self.fault_engine.drain_events():
+            self.emit(phase, target, "fault_applied", detail)
 
     def _phase_irq_delivery(self, c: int) -> None:
         for b_id in self.pending_irq.pop(c, ()):
@@ -316,15 +318,7 @@ class World:
         ):
             return
         members = self.monitor.sessions[-1].accepted
-        port_inputs: List[Tuple[int, Optional[BusTransaction]]] = []
-        for b_id in members:
-            blk = self.blocks[b_id]
-            if blk.state is BlockState.AWAITING_EXIT:
-                port_inputs.append((b_id, BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)))
-            elif b_id in self.held_tx:
-                port_inputs.append((b_id, self.held_tx[b_id]))
-            else:
-                port_inputs.append((b_id, None))
+        port_inputs = [(b_id, self.held_tx.get(b_id)) for b_id in members]
         if all(tx is None for _, tx in port_inputs):
             return  # unanimous idle cycle: not a fault, nothing to vote
         result = self.monitor.vote(port_inputs, c)

@@ -9,6 +9,9 @@ Activation windows are either an absolute cycle or "when the target is about
 to execute the k-th safe-program instruction".  Each scheduled fault fires
 once.  Bit flips are single upsets: armed by their window, consumed by the
 next data transaction, then gone.
+
+Every activation and flip queues a (target, detail) event; the engine drains
+the one queue after each hook and emits each drain in block order.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from .block import BlockState, Instruction, ProcessingBlock
-from .bus import BusTransaction
+from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction
 
 
 class FaultKind(Enum):
@@ -104,17 +108,15 @@ class FaultEngine:
             detail["bit"] = spec.bit
         self.pending_events.append((block.block_id, detail))
 
-    def on_cycle_start(self, cycle: int, blocks: List[ProcessingBlock]) -> List[Tuple[int, dict]]:
-        """Activate every cycle-windowed fault whose time has come.  Returns
-        (target, detail) pairs ordered by target id for the trace."""
+    def on_cycle_start(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
+        """Activate every cycle-windowed fault whose time has come, in
+        (target, declaration) order."""
         due = []
         while self._by_cycle and self._by_cycle[-1][0] <= cycle:
             due.append(self._by_cycle.pop())
         due.sort(key=lambda entry: entry[1:3])  # (target, declaration index)
         for _, target, _, spec in due:
             self._activate(spec, blocks[target], via="cycle")
-        events, self.pending_events = self.pending_events, []
-        return events
 
     def on_safe_fetch(self, block: ProcessingBlock, safe_idx: int) -> None:
         """Fetch-time hook for instruction-windowed activation, installed on
@@ -130,24 +132,22 @@ class FaultEngine:
 
     # -- transaction filtering -------------------------------------------------
 
-    def filter_tx(
-        self, block_id: int, tx: BusTransaction, role: str
-    ) -> Tuple[Optional[BusTransaction], List[Tuple[int, dict]]]:
+    def filter_tx(self, block_id: int, tx: BusTransaction) -> Optional[BusTransaction]:
         """Apply suppression and armed single-upset flips to one outgoing
-        transaction.  Flips touch data transactions only; the rendezvous and
-        release reads are protocol, not voted payload."""
-        events: List[Tuple[int, dict]] = []
+        transaction; None when it never reaches the wire.  Flips touch data
+        transactions only; the rendezvous and release reads of the sync
+        register are protocol, not voted payload."""
         if block_id in self.suppressed:
-            return None, events
-        if role != "data":
-            return tx, events
+            return None
+        if tx.address == LOCKSTEP_SYNC_ADDRESS:
+            return tx
         for spec in self._armed_flips.pop(block_id, ()):
             before = tx.short()
             if spec.kind is FaultKind.BIT_FLIP_DATA:
                 tx = BusTransaction(tx.kind, tx.address, tx.data ^ (1 << spec.bit))
             else:
                 tx = BusTransaction(tx.kind, tx.address ^ (1 << spec.bit), tx.data)
-            events.append(
+            self.pending_events.append(
                 (
                     block_id,
                     {
@@ -158,10 +158,13 @@ class FaultEngine:
                     },
                 )
             )
-        return tx, events
+        return tx
 
     def drain_events(self) -> List[Tuple[int, dict]]:
+        """Take the queued (target, detail) events, ordered by target; the
+        sort is stable, so one block's events keep their queue order."""
         events, self.pending_events = self.pending_events, []
+        events.sort(key=itemgetter(0))
         return events
 
     def stochastic_flips(
@@ -170,13 +173,12 @@ class FaultEngine:
         blocks: List[ProcessingBlock],
         rng: random.Random,
         probability: float,
-    ) -> List[Tuple[int, dict]]:
+    ) -> None:
         """Seeded soak mode: each live block has the given per-cycle chance
         of a single random data-bit upset on its next data transaction.  At
         most one stochastic flip is pending per block at a time."""
-        events: List[Tuple[int, dict]] = []
         if probability <= 0.0:
-            return events
+            return
         for block in blocks:
             if block.state is BlockState.HALTED:
                 continue
@@ -192,7 +194,6 @@ class FaultEngine:
                 bit=bit,
             )
             self._armed_flips.setdefault(block.block_id, []).append(spec)
-            events.append(
+            self.pending_events.append(
                 (block.block_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})
             )
-        return events

@@ -148,9 +148,8 @@ class LockstepMonitor:
     ACCEPT = 0x01
     REJECT = 0x00
 
-    def __init__(self, n_blocks: int):
-        self.n_blocks = n_blocks
-        self.config: Optional[MoonConfig] = None
+    def __init__(self, config: MoonConfig):
+        self.config = config
         self.sync_state = SyncState.IDLE
         self.sessions: List[SessionRecord] = []
         self.arrived: List[Tuple[int, int]] = []  # (cycle, block_id) in order
@@ -161,24 +160,11 @@ class LockstepMonitor:
 
     # -- controller --------------------------------------------------------
 
-    def configure(self, config: MoonConfig) -> MoonMode:
-        if self.sync_state is not SyncState.IDLE:
-            raise InvalidConfig("cannot reconfigure during a session")
-        if config.n_required > self.n_blocks:
-            raise InvalidConfig(
-                f"n_required={config.n_required} exceeds attached blocks "
-                f"({self.n_blocks})"
-            )
-        mode = config.validate()
-        self.config = config
-        return mode
-
     def request_sp(self, cycle: int) -> bool:
         """Start a session if idle.  Returns False when a session already
         runs (the request is dropped with a warning upstream)."""
         if self.frozen or self.sync_state is not SyncState.IDLE:
             return False
-        assert self.config is not None, "monitor not configured"
         self.sync_state = SyncState.GATHERING
         self.sessions.append(SessionRecord(gather_cycle=cycle))
         self.arrived = []
@@ -206,7 +192,7 @@ class LockstepMonitor:
         surplus.  Earlier-cycle arrivals keep strict first-come priority; the
         cohort of the crossing cycle is tie-broken by ascending block id, or
         sampled with ``rng`` when random selection is enabled."""
-        if self.sync_state is not SyncState.GATHERING or self.config is None:
+        if self.sync_state is not SyncState.GATHERING:
             return None
         n = self.config.n_required
         if len(self.arrived) < n:
@@ -258,7 +244,6 @@ class LockstepMonitor:
     # -- voter ---------------------------------------------------------------
 
     def vote(self, port_inputs: List[Tuple[int, Optional[BusTransaction]]], cycle: int) -> VoteResult:
-        assert self.config is not None
         ports = [b for b, _ in port_inputs]
         result = run_vote([tx for _, tx in port_inputs], self.config.m_agree, ports)
         if result.no_majority:
@@ -274,7 +259,7 @@ class LockstepMonitor:
     def observe(self, cycle: int) -> Optional[str]:
         """Availability check for this cycle; returns the error reason and
         freezes the monitor when one fires."""
-        if self.frozen or self.config is None:
+        if self.frozen:
             return None
         reason = None
         if self._bus_fault is not None and self._bus_fault[0] == cycle:

@@ -13,7 +13,8 @@ self-contained and reproducible:
   blocks) into a group with spares and demand that the committed memory
   image (voted RAM plus the I/O log) is identical to a fault-free reference
   run.  Silenced blocks cannot leave the group, so those points end in the
-  safe state by exec timeout - their memory image must still match.
+  safe state (by exec timeout, or by a failed 2-of-2 comparison) - their
+  memory image must still match.
 """
 
 from __future__ import annotations
@@ -90,15 +91,13 @@ def build_rendezvous_scenario(
     m_agree: int,
     irq_latency: Sequence[int],
     name: str = "rendezvous-sweep",
-    random_selection: bool = False,
-    seed: int = 1,
 ) -> Scenario:
     """Blocks at an instruction boundary every cycle; block 0 requests."""
     programs = [_padded_program((Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)), 24)]
     programs += [_padded_program((), 24) for _ in range(n_blocks - 1)]
     return Scenario(
         name=name,
-        seed=seed,
+        seed=1,
         n_blocks=n_blocks,
         moon=MoonConfig(n_required=n_required, m_agree=m_agree, t_gather=15, t_exec=15),
         boot_check="pass",
@@ -107,7 +106,7 @@ def build_rendezvous_scenario(
         triggers=(),
         faults=(),
         max_cycles=80,
-        flags=Flags(random_selection=random_selection),
+        flags=Flags(),
         irq_latency=tuple(irq_latency),
     )
 
@@ -118,20 +117,18 @@ def build_masking_scenario(
     m_agree: int,
     faults: Sequence[FaultSpec],
     name: str = "masking-sweep",
-    safe_program: Optional[Sequence[Instruction]] = None,
-    seed: int = 1,
 ) -> Scenario:
     """Uniform zero-latency arrivals so the lowest block ids form the group."""
     programs = [_padded_program((Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)), 16)]
     programs += [_padded_program((), 16) for _ in range(n_blocks - 1)]
     return Scenario(
         name=name,
-        seed=seed,
+        seed=1,
         n_blocks=n_blocks,
         moon=MoonConfig(n_required=n_required, m_agree=m_agree, t_gather=10, t_exec=12),
         boot_check="pass",
         programs=programs,
-        safe_program=tuple(safe_program or DEFAULT_SAFE_PROGRAM),
+        safe_program=DEFAULT_SAFE_PROGRAM,
         triggers=(),
         faults=tuple(faults),
         max_cycles=60,
@@ -267,13 +264,9 @@ def placement_catalog(
     return out
 
 
-def masking_reference(
-    n_blocks: int, n_required: int, m_agree: int,
-    safe_program: Optional[Sequence[Instruction]] = None,
-) -> Report:
+def masking_reference(n_blocks: int, n_required: int, m_agree: int) -> Report:
     scenario = build_masking_scenario(
-        n_blocks, n_required, m_agree, faults=(),
-        name="masking-reference", safe_program=safe_program,
+        n_blocks, n_required, m_agree, faults=(), name="masking-reference"
     )
     return run(scenario, trace_enabled=False)
 
@@ -292,7 +285,6 @@ def fault_sweep(
     spares: int = 1,
     max_simultaneous: int = 1,
     placements: str = "full",
-    safe_program: Optional[Sequence[Instruction]] = None,
 ) -> SweepResult:
     """Sweep tolerated fault combinations; every point must mask cleanly.
 
@@ -301,14 +293,11 @@ def fault_sweep(
     keeps its target out of the rendezvous entirely.
     """
     n_blocks = n_required + spares
-    safe = tuple(safe_program or DEFAULT_SAFE_PROGRAM)
-    reference = masking_reference(n_blocks, n_required, m_agree, safe)
+    reference = masking_reference(n_blocks, n_required, m_agree)
     result = SweepResult(mode="faults")
 
     def run_point(specs: Sequence[FaultSpec], labels: Sequence[str], targets: Sequence[int]) -> None:
-        scenario = build_masking_scenario(
-            n_blocks, n_required, m_agree, faults=specs, safe_program=safe,
-        )
+        scenario = build_masking_scenario(n_blocks, n_required, m_agree, faults=specs)
         report = run(scenario, trace_enabled=False)
         complaint = check_masking_point(report, reference)
         result.points.append(
@@ -321,7 +310,7 @@ def fault_sweep(
 
     group = range(n_required)
     singles = {
-        t: placement_catalog(t, len(safe), placements) for t in group
+        t: placement_catalog(t, len(DEFAULT_SAFE_PROGRAM), placements) for t in group
     }
     for t in group:
         for label, spec in singles[t]:

@@ -65,7 +65,7 @@ def test_bus_op_issue_then_one_cycle_stall():
     block = make_block([Write(0x100, 1), Write(0x101, 2), Halt()])
     out1 = block.tick()
     assert out1.tx is not None and out1.tx.address == 0x100
-    assert out1.tx_role == "data"
+    assert block.state is BlockState.NORMAL_PROCESSING  # a system-bus transaction
     out2 = block.tick()  # no response yet: still stalled
     assert out2.tx is None
     out3 = block.tick(response=0)  # completion + fall-through
@@ -104,10 +104,9 @@ def test_irq_taken_at_instruction_boundary_only():
         out = block.tick()
         assert out.tx is None  # still computing
     out = block.tick()
-    assert out.tx_role == "sync"
+    assert block.state is BlockState.AWAITING_SYNC
     assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert out.tx.kind is TxKind.READ
-    assert block.state is BlockState.AWAITING_SYNC
     assert block.saved_pc == 1  # compute already retired
 
 
@@ -116,7 +115,8 @@ def test_irq_at_boundary_preempts_next_instruction():
     block.tick()
     block.raise_irq()
     out = block.tick()
-    assert out.tx_role == "sync"  # the write at pc=1 is deferred
+    assert block.state is BlockState.AWAITING_SYNC  # the write at pc=1 is deferred
+    assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert block.saved_pc == 1
 
 
@@ -144,7 +144,8 @@ def accepted_block():
     block.tick()
     block.raise_irq()
     out = block.tick()
-    assert out.tx_role == "sync"
+    assert block.state is BlockState.AWAITING_SYNC
+    assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     return block
 
 
@@ -155,7 +156,7 @@ def test_accept_falls_through_into_safe_program():
     assert block.pc == SAFECODE_START
     # the same tick already executes safe instruction 0
     assert out.tx is not None
-    assert out.tx_role == "data"
+    assert block.state is BlockState.SAFE_PROCESSING  # a voted data transaction
     assert out.tx == BusTransaction(TxKind.WRITE, 0x10000, 7)
 
 
@@ -182,9 +183,8 @@ def test_safe_program_end_issues_exit_read():
     block.tick(response=1)  # safe instr 0 (write) issued
     block.tick(response=0)  # completes; safe instr 1 (read) issued
     out = block.tick(response=0)  # completes; stream exhausted -> exit read
-    assert out.tx_role == "exit"
-    assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert block.state is BlockState.AWAITING_EXIT
+    assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
     assert block.saved_pc == 1  # still remembered across the whole session
 
 
@@ -261,7 +261,8 @@ def test_safe_override_swaps_the_remaining_stream():
     out = block.tick(response=0)  # instr 1 comes from the override
     assert out.tx == BusTransaction(TxKind.WRITE, 0x10004, 9)
     out = block.tick(response=0)  # override exhausted -> exit read
-    assert out.tx_role == "exit"
+    assert block.state is BlockState.AWAITING_EXIT
+    assert out.tx.address == LOCKSTEP_SYNC_ADDRESS
 
 
 def test_determinism_two_identical_blocks():

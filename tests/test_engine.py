@@ -359,6 +359,44 @@ def test_exit_read_and_availability_error_in_one_cycle():
     audit_system_path(report.trace)
 
 
+# -- a silenced port ------------------------------------------------------------------------
+# Each member's vote input is what it put on the bus.  A stuck-silent member
+# suppresses its exit read too, so the voter sees an absent port.
+
+
+def silenced_member_scenario(n_blocks, n, m):
+    """Block 0 falls silent at safe instruction 1 and never issues its exit read."""
+    scenario = build_masking_scenario(
+        n_blocks, n, m, faults=[FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_safe_instr=1)]
+    )
+    scenario.safe_program = (Write(LS_RAM_BASE, 7), Compute(3))
+    return scenario
+
+
+def test_comparison_fails_at_the_partners_exit_read_when_a_member_is_silent():
+    report = run(silenced_member_scenario(2, 2, 2))
+    exit_read = next(e for e in report.trace if e.kind == "exit_read")
+    assert (exit_read.cycle, exit_read.entity) == (8, 1)
+    vote = [e for e in report.trace if e.kind == "vote"][-1]
+    assert (vote.cycle, vote.detail) == (8, {"ports": [0, 1], "matrix": ["10", "01"]})
+    assert report.sessions[0]["outcome"] == "no_majority"
+    assert report.cycles_run == 8
+    assert report.final_state == "safe_state"
+
+
+def test_majority_outvotes_a_silent_member_at_exit():
+    report = run(silenced_member_scenario(4, 3, 2))
+    exit_cycles = [e.cycle for e in report.trace if e.kind == "vote" and e.cycle >= 8]
+    assert exit_cycles == list(range(8, 17))
+    for cycle in exit_cycles:
+        vote, forward = [e for e in report.trace if e.cycle == cycle and e.phase == 5]
+        assert vote.detail == {"ports": [0, 1, 2], "matrix": ["100", "011", "011"]}
+        assert forward.detail == {"block": 1, "tx": "R:FFFF0000:00000000", "stalled": 1}
+    assert report.masked_fault_cycles == 9
+    assert report.sessions[0]["outcome"] == "exec_timeout"
+    assert report.cycles_run == 16
+
+
 # -- termination --------------------------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 from lockstepsim import (
+    LOCKSTEP_SYNC_ADDRESS,
     BusTransaction,
     Compute,
     FaultEngine,
@@ -41,12 +42,14 @@ def data_tx(data=7, address=0x10000):
 def test_cycle_window_activates_at_its_cycle():
     eng = FaultEngine([FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_cycle=3)])
     blocks = make_blocks()
-    assert eng.on_cycle_start(2, blocks) == []
-    events = eng.on_cycle_start(3, blocks)
-    assert events == [(0, {"fault": "no_show", "window": "cycle"})]
+    eng.on_cycle_start(2, blocks)
+    assert eng.drain_events() == []
+    eng.on_cycle_start(3, blocks)
+    assert eng.drain_events() == [(0, {"fault": "no_show", "window": "cycle"})]
     assert blocks[0].ignore_irq
     assert not blocks[1].ignore_irq
-    assert eng.on_cycle_start(4, blocks) == []  # one-shot
+    eng.on_cycle_start(4, blocks)
+    assert eng.drain_events() == []  # one-shot
 
 
 def test_start_jitter_sets_the_delay_knob():
@@ -54,21 +57,21 @@ def test_start_jitter_sets_the_delay_knob():
         [FaultSpec(target=1, kind=FaultKind.START_JITTER, at_cycle=1, delay=4)]
     )
     blocks = make_blocks()
-    events = eng.on_cycle_start(1, blocks)
+    eng.on_cycle_start(1, blocks)
     assert blocks[1].sync_delay == 4
-    assert events[0][1]["delay"] == 4
+    assert eng.drain_events()[0][1]["delay"] == 4
 
 
 def test_stuck_silent_suppresses_every_later_tx():
     eng = FaultEngine([FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_cycle=1)])
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    tx, events = eng.filter_tx(0, data_tx(), "data")
-    assert tx is None and events == []
-    tx, _ = eng.filter_tx(0, data_tx(), "sync")
-    assert tx is None  # silence covers protocol reads too
-    tx, _ = eng.filter_tx(1, data_tx(), "data")
-    assert tx is not None  # other blocks unaffected
+    eng.drain_events()
+    assert eng.filter_tx(0, data_tx()) is None
+    assert eng.drain_events() == []
+    sync = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+    assert eng.filter_tx(0, sync) is None  # silence covers protocol reads too
+    assert eng.filter_tx(1, data_tx()) is not None  # other blocks unaffected
 
 
 def test_instruction_window_activates_via_fetch_hook():
@@ -81,8 +84,9 @@ def test_instruction_window_activates_via_fetch_hook():
     eng.on_safe_fetch(blocks[0], 1)
     events = eng.drain_events()
     assert events[0][1]["window"] == "safe_instr"
-    tx, flip_events = eng.filter_tx(0, data_tx(7), "data")
+    tx = eng.filter_tx(0, data_tx(7))
     assert tx.data == 7 ^ 4
+    flip_events = eng.drain_events()
     assert flip_events[0][1]["before"] != flip_events[0][1]["after"]
 
 
@@ -99,16 +103,18 @@ def test_due_faults_activate_in_target_then_declaration_order():
     )
     blocks = make_blocks(3)
     # the first call comes at cycle 3: the faults of cycles 0..2 are overdue
-    events = eng.on_cycle_start(3, blocks)
-    assert [(target, d["fault"]) for target, d in events] == [
+    eng.on_cycle_start(3, blocks)
+    assert [(target, d["fault"]) for target, d in eng.drain_events()] == [
         (0, "stuck_silent"),
         (1, "start_jitter"),
         (1, "no_show"),
         (2, "no_show"),
         (2, "bit_flip_data"),
     ]
-    assert eng.on_cycle_start(4, blocks) == []
-    assert eng.on_cycle_start(9, blocks) == [(0, {"fault": "no_show", "window": "cycle"})]
+    eng.on_cycle_start(4, blocks)
+    assert eng.drain_events() == []
+    eng.on_cycle_start(9, blocks)
+    assert eng.drain_events() == [(0, {"fault": "no_show", "window": "cycle"})]
 
 
 def test_instruction_window_fires_on_first_fetch_only():
@@ -125,12 +131,12 @@ def test_instruction_window_fires_on_first_fetch_only():
     eng.on_safe_fetch(blocks[0], 1)
     eng.on_safe_fetch(blocks[0], 1)  # fetched again while the flip is still armed
     assert len(eng.drain_events()) == 1
-    tx, events = eng.filter_tx(0, data_tx(7), "data")
-    assert tx.data == 7 ^ 4 and len(events) == 1
+    assert eng.filter_tx(0, data_tx(7)).data == 7 ^ 4
+    assert len(eng.drain_events()) == 1
     eng.on_safe_fetch(blocks[0], 1)  # a later session fetches the same instruction
     assert eng.drain_events() == []
-    tx, events = eng.filter_tx(0, data_tx(7), "data")
-    assert tx.data == 7 and events == []
+    assert eng.filter_tx(0, data_tx(7)).data == 7
+    assert eng.drain_events() == []
 
     eng.on_safe_fetch(blocks[1], 1)
     assert blocks[1].safe_override == (1, list(alt))
@@ -149,10 +155,10 @@ def test_data_flip_is_single_shot():
     )
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    tx, _ = eng.filter_tx(0, data_tx(6), "data")
-    assert tx.data == 7
-    tx, events = eng.filter_tx(0, data_tx(6), "data")
-    assert tx.data == 6 and events == []  # consumed
+    assert eng.filter_tx(0, data_tx(6)).data == 7
+    eng.drain_events()
+    assert eng.filter_tx(0, data_tx(6)).data == 6
+    assert eng.drain_events() == []  # consumed
 
 
 def test_address_flip_touches_the_address_word():
@@ -161,7 +167,7 @@ def test_address_flip_touches_the_address_word():
     )
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    tx, _ = eng.filter_tx(0, data_tx(7, address=0x10000), "data")
+    tx = eng.filter_tx(0, data_tx(7, address=0x10000))
     assert tx.address == 0x10008
     assert tx.data == 7
 
@@ -172,12 +178,12 @@ def test_flips_never_touch_protocol_reads():
     )
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    sync = BusTransaction(TxKind.READ, 0xFFFF0000)
-    tx, events = eng.filter_tx(0, sync, "sync")
-    assert tx is sync and events == []
+    eng.drain_events()
+    sync = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+    assert eng.filter_tx(0, sync) is sync
+    assert eng.drain_events() == []
     # the flip stays armed for the next data transaction
-    tx, _ = eng.filter_tx(0, data_tx(6), "data")
-    assert tx.data == 7
+    assert eng.filter_tx(0, data_tx(6)).data == 7
 
 
 def test_cycle_flip_armed_for_many_cycles_fires_once():
@@ -185,11 +191,15 @@ def test_cycle_flip_armed_for_many_cycles_fires_once():
         [FaultSpec(target=0, kind=FaultKind.BIT_FLIP_DATA, at_cycle=2, bit=0)]
     )
     blocks = make_blocks()
-    events = [e for c in range(1, 40) for e in eng.on_cycle_start(c, blocks)]
-    assert events == [(0, {"fault": "bit_flip_data", "window": "cycle", "bit": 0})]
-    flipped = [eng.filter_tx(0, data_tx(6), "data")[0].data for _ in range(3)]
+    for c in range(1, 40):
+        eng.on_cycle_start(c, blocks)
+    assert eng.drain_events() == [(0, {"fault": "bit_flip_data", "window": "cycle", "bit": 0})]
+    flipped = [eng.filter_tx(0, data_tx(6)).data for _ in range(3)]
     assert flipped == [7, 6, 6]
-    assert [e for c in range(40, 60) for e in eng.on_cycle_start(c, blocks)] == []
+    assert len(eng.drain_events()) == 1
+    for c in range(40, 60):
+        eng.on_cycle_start(c, blocks)
+    assert eng.drain_events() == []
 
 
 def test_two_armed_flips_stack_on_one_transaction():
@@ -201,9 +211,9 @@ def test_two_armed_flips_stack_on_one_transaction():
     )
     blocks = make_blocks()
     eng.on_cycle_start(1, blocks)
-    tx, events = eng.filter_tx(0, data_tx(0), "data")
-    assert tx.data == 3
-    assert len(events) == 2
+    eng.drain_events()
+    assert eng.filter_tx(0, data_tx(0)).data == 3
+    assert len(eng.drain_events()) == 2
 
 
 # -- divergent program -----------------------------------------------------------------
@@ -229,8 +239,8 @@ def test_divergent_at_cycle_defers_to_next_fetch():
         [FaultSpec(target=0, kind=FaultKind.DIVERGENT_PROGRAM, at_cycle=1, program=alt)]
     )
     blocks = make_blocks()
-    events = eng.on_cycle_start(1, blocks)
-    assert events[0][1].get("deferred") == 1
+    eng.on_cycle_start(1, blocks)
+    assert eng.drain_events()[0][1].get("deferred") == 1
     assert blocks[0].safe_override is None
     eng.on_safe_fetch(blocks[0], 0)
     assert blocks[0].safe_override == (0, list(alt))
@@ -243,7 +253,8 @@ def test_divergent_at_cycle_defers_to_next_fetch():
 def test_stochastic_flips_off_by_default():
     eng = FaultEngine([])
     blocks = make_blocks()
-    assert eng.stochastic_flips(1, blocks, random.Random(0), 0.0) == []
+    eng.stochastic_flips(1, blocks, random.Random(0), 0.0)
+    assert eng.drain_events() == []
 
 
 def test_stochastic_flips_deterministic_per_seed():
@@ -253,9 +264,10 @@ def test_stochastic_flips_deterministic_per_seed():
         out = []
         rng = random.Random(seed)
         for c in range(1, 20):
-            out.extend(eng.stochastic_flips(c, blocks, rng, 0.3))
+            eng.stochastic_flips(c, blocks, rng, 0.3)
             for b in blocks:
-                eng.filter_tx(b.block_id, data_tx(), "data")
+                eng.filter_tx(b.block_id, data_tx())
+            out.extend(eng.drain_events())
         return out
 
     assert roll(7) == roll(7)
@@ -269,16 +281,38 @@ def test_stochastic_flip_arms_at_most_one_per_block():
     for c in range(1, 50):
         eng.stochastic_flips(c, blocks, rng, 1.0)  # always trying
         assert len(eng._armed_flips[0]) == 1  # still only one pending
-    tx, events = eng.filter_tx(0, data_tx(0), "data")
-    assert len(events) == 1  # exactly one upset applied
+    assert len(eng.drain_events()) == 1  # armed once
+    eng.filter_tx(0, data_tx(0))
+    assert len(eng.drain_events()) == 1  # exactly one upset applied
 
 
 def test_stochastic_flips_skip_halted_blocks():
     eng = FaultEngine([])
     blocks = make_blocks(2)
     blocks[0].state = blocks[0].state.HALTED
-    events = eng.stochastic_flips(1, blocks, random.Random(0), 1.0)
-    assert [target for target, _ in events] == [1]
+    eng.stochastic_flips(1, blocks, random.Random(0), 1.0)
+    assert [target for target, _ in eng.drain_events()] == [1]
+
+
+def test_drain_orders_one_cycle_start_by_block():
+    """A soak flip on a lower block follows a scheduled fault on a higher one
+    in the queue, but leaves it first; one block keeps its queue order."""
+    eng = FaultEngine(
+        [
+            FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_cycle=1),
+            FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=1, delay=2),
+        ]
+    )
+    blocks = make_blocks(3)
+    eng.on_cycle_start(1, blocks)
+    eng.stochastic_flips(1, blocks, random.Random(0), 1.0)
+    assert [(target, d["window"]) for target, d in eng.drain_events()] == [
+        (0, "cycle"),
+        (0, "stochastic"),
+        (1, "stochastic"),
+        (2, "cycle"),
+        (2, "stochastic"),
+    ]
 
 
 # -- whole-world integration ---------------------------------------------------------------

@@ -18,24 +18,7 @@ from lockstepsim import audit_event_order, audit_sessions, run
 from lockstepsim.trace import audit_system_path
 
 
-# Phase 1 emits a cycle's scheduled faults before its soak-noise flips, so a
-# flip on a lower block id can follow a fault on a higher one and break the
-# (cycle, phase, entity) order.  Mending it moves the bytes of these runs.
-PHASE1_OUT_OF_ORDER = {138}
-
-
-@pytest.mark.parametrize(
-    "index",
-    [
-        pytest.param(
-            i,
-            marks=pytest.mark.xfail(strict=True, reason="phase-1 fault events out of entity order"),
-        )
-        if i in PHASE1_OUT_OF_ORDER
-        else i
-        for i in range(200)
-    ],
-)
+@pytest.mark.parametrize("index", range(200))
 def test_generated_run_keeps_the_protocol_invariants(index):
     scenario = random_scenario(index)
     report = run_unless_unmapped(scenario)

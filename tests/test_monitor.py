@@ -24,10 +24,8 @@ def cfg(n, m, t_gather=10, t_exec=10):
     return MoonConfig(n_required=n, m_agree=m, t_gather=t_gather, t_exec=t_exec)
 
 
-def monitor(n_blocks=4, n=3, m=2, **kw):
-    mon = LockstepMonitor(n_blocks)
-    mon.configure(cfg(n, m, **kw))
-    return mon
+def monitor(n=3, m=2, **kw):
+    return LockstepMonitor(cfg(n, m, **kw))
 
 
 def wtx(data, address=0x10000):
@@ -77,19 +75,6 @@ def test_budgets_must_be_positive(t_gather, t_exec):
         cfg(3, 2, t_gather=t_gather, t_exec=t_exec).validate()
 
 
-def test_configure_rejects_more_required_than_attached():
-    mon = LockstepMonitor(2)
-    with pytest.raises(InvalidConfig):
-        mon.configure(cfg(3, 2))
-
-
-def test_configure_locked_during_session():
-    mon = monitor()
-    mon.request_sp(1)
-    with pytest.raises(InvalidConfig):
-        mon.configure(cfg(3, 3))
-
-
 # -- session requests and the IRQ line ----------------------------------------------
 
 
@@ -117,7 +102,7 @@ def finalize(mon, cycle):
 
 
 def test_admission_waits_for_n_arrivals():
-    mon = monitor(n_blocks=4, n=3)
+    mon = monitor(n=3)
     mon.request_sp(1)
     assert mon.on_sync_read(0, 10) == "stalled"
     assert mon.on_sync_read(1, 10) == "stalled"
@@ -134,7 +119,7 @@ def test_admission_waits_for_n_arrivals():
 
 
 def test_same_cycle_ties_break_by_block_id():
-    mon = monitor(n_blocks=4, n=3)
+    mon = monitor(n=3)
     mon.request_sp(1)
     for b in (3, 1, 0, 2):  # arrival order within the cycle is irrelevant
         mon.on_sync_read(b, 2)
@@ -144,7 +129,7 @@ def test_same_cycle_ties_break_by_block_id():
 
 
 def test_earlier_cycle_beats_lower_id():
-    mon = monitor(n_blocks=4, n=2)
+    mon = monitor(n=2)
     mon.request_sp(1)
     mon.on_sync_read(3, 2)
     assert finalize(mon, 2) is None
@@ -159,7 +144,7 @@ def test_earlier_cycle_beats_lower_id():
 def test_random_selection_samples_only_the_crossing_cohort():
     seen = set()
     for seed in range(12):
-        mon = monitor(n_blocks=4, n=3)
+        mon = monitor(n=3)
         mon.request_sp(1)
         mon.on_sync_read(0, 2)  # early bird: always admitted
         for b in (1, 2, 3):
@@ -173,7 +158,7 @@ def test_random_selection_samples_only_the_crossing_cohort():
 
 
 def test_record_lists_rejections_only_while_the_session_is_open():
-    mon = monitor(n_blocks=4, n=2)
+    mon = monitor(n=2)
     assert mon.on_sync_read(3, 1) == "rejected"  # before any session
     mon.request_sp(2)
     for b in (0, 1, 2):
@@ -190,7 +175,7 @@ def test_record_lists_rejections_only_while_the_session_is_open():
 
 
 def test_reads_outside_gathering_are_rejected():
-    mon = monitor(n_blocks=4, n=2)
+    mon = monitor(n=2)
     assert mon.on_sync_read(0, 1) == "rejected"  # idle: no session
     mon.request_sp(2)
     mon.on_sync_read(0, 3)
@@ -203,7 +188,7 @@ def test_reads_outside_gathering_are_rejected():
 
 
 def locked_monitor():
-    mon = monitor(n_blocks=4, n=3)
+    mon = monitor(n=3)
     mon.request_sp(1)
     for b in (0, 1, 2):
         mon.on_sync_read(b, 2)
@@ -334,7 +319,7 @@ def test_reported_bus_fault_is_raised_on_its_cycle_only():
 
 
 def test_gather_timeout_fires_one_cycle_past_budget():
-    mon = monitor(n_blocks=3, n=3, t_gather=4)
+    mon = monitor(n=3, t_gather=4)
     mon.request_sp(10)
     for c in range(11, 15):
         assert mon.observe(c) is None
@@ -344,7 +329,7 @@ def test_gather_timeout_fires_one_cycle_past_budget():
 
 
 def test_exec_timeout_covers_lockstep_and_releasing():
-    mon = monitor(n_blocks=3, n=3, t_exec=5)
+    mon = monitor(n=3, t_exec=5)
     mon.request_sp(1)
     for b in range(3):
         mon.on_sync_read(b, 2)
@@ -364,7 +349,7 @@ def test_idle_monitor_never_times_out():
 
 
 def test_frozen_monitor_rejects_everything():
-    mon = monitor(n_blocks=3, n=3, t_gather=1)
+    mon = monitor(n=3, t_gather=1)
     mon.request_sp(1)
     assert mon.observe(3) == "gather_timeout"
     assert mon.on_sync_read(0, 4) == "rejected"

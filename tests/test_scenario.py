@@ -3,6 +3,7 @@ and the serialize/load round trip."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import yaml
 from lockstepsim import (
     Compute,
     FaultKind,
+    Flags,
     Halt,
     ParseError,
     Read,
@@ -348,7 +350,7 @@ def sweep_scenarios():
     other = placement_catalog(1, len(DEFAULT_SAFE_PROGRAM))[0][1]
     yield from (build_masking_scenario(4, 3, 2, faults=(spec,)) for spec in catalog)
     yield build_masking_scenario(7, 5, 3, faults=(catalog[2], other))
-    yield build_rendezvous_scenario(3, 2, 2, (0, 3, 1), random_selection=True)
+    yield replace(build_rendezvous_scenario(3, 2, 2, (0, 3, 1)), flags=Flags(random_selection=True))
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))

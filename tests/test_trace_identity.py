@@ -33,7 +33,7 @@ from lockstepsim.sweep import (
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
 
-CORPUS_SHA256 = "60e8d7a67488789c1fb17a464746399c925f9a493023b4d26172e94f0f6b6331"
+CORPUS_SHA256 = "d94ac42e3270d73f79a9f2454a78d99f778d194eae7b8d75dc8bcac22bebb52c"
 CORPUS_HASHED = 511
 CORPUS_LEFT_OUT = 4
 
