@@ -21,10 +21,11 @@ executes seven phases in a fixed order:
 Responses produced in phases 4-5 of cycle t reach the issuing block at its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
-The system state is Boot, then NormalProcessing (or SafeState on a failed
-boot check).  From then on phase 7 reads it off the monitor: SafeState once an
-availability error has frozen the monitor, otherwise idle -> NormalProcessing,
-gathering -> Synchronizing, lockstep and releasing -> SafeProcessingMode.
+The world boots when it is built: Boot, then NormalProcessing (or SafeState
+on a failed boot check).  From then on phase 7 reads the system state off the
+monitor: SafeState once an availability error has frozen the monitor,
+otherwise idle -> NormalProcessing, gathering -> Synchronizing, lockstep and
+releasing -> SafeProcessingMode.
 Requests run before entry, so a session can be requested and admitted in one
 phase 4 (sync reads on IRQs latched earlier); it is entered through
 Synchronizing.
@@ -48,7 +49,7 @@ from .block import BlockState, ProcessingBlock, TriggerSource
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
-from .scenario import Scenario, scenario_digest, validate_scenario
+from .scenario import Scenario, ValidationError, check_seed, scenario_digest, validate_scenario
 from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
 
@@ -79,12 +80,14 @@ class World:
     def __init__(self, scenario: Scenario, seed: Optional[int] = None, trace_enabled: bool = True):
         validate_scenario(scenario)
         self.scenario = scenario
-        self.effective_seed = scenario.seed if seed is None else seed
+        self.effective_seed = scenario.seed if seed is None else check_seed(seed, "seed override")
         self.rng = random.Random(self.effective_seed)
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
-        self.monitor = LockstepMonitor(scenario.moon)
+        self.monitor = LockstepMonitor(
+            scenario.moon, self.rng if scenario.flags.random_selection else None
+        )
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
             for i in range(scenario.n_blocks)
@@ -101,6 +104,15 @@ class World:
         # what no session record holds; the rest of the report reads the monitor
         self.counters = {"rejected": 0, "masked_fault_cycles": 0}
         self.end_reason = "max_cycles"
+        moon = scenario.moon
+        self.emit(1, "system", "boot", {
+            "result": scenario.boot_check,
+            "n_required": moon.n_required,
+            "m_agree": moon.m_agree,
+            "mode": moon.validate().value,
+        })
+        failed = scenario.boot_check == "fail"
+        self._set_system_state(SystemState.SAFE_STATE if failed else SystemState.NORMAL_PROCESSING)
 
     # -- trace -------------------------------------------------------------
 
@@ -117,33 +129,9 @@ class World:
         self.system_state = new
         self.emit(7, "system", "state_change", {"from": old.value, "to": new.value})
 
-    # -- boot ----------------------------------------------------------------
-
-    def boot(self) -> None:
-        if self.system_state is not SystemState.BOOT:
-            raise SimInternalError("boot called twice")
-        mode = self.scenario.moon.validate()
-        self.emit(
-            1,
-            "system",
-            "boot",
-            {
-                "result": self.scenario.boot_check,
-                "n_required": self.scenario.moon.n_required,
-                "m_agree": self.scenario.moon.m_agree,
-                "mode": mode.value,
-            },
-        )
-        if self.scenario.boot_check == "fail":
-            self._set_system_state(SystemState.SAFE_STATE)
-        else:
-            self._set_system_state(SystemState.NORMAL_PROCESSING)
-
     # -- one cycle -------------------------------------------------------------
 
     def step(self) -> None:
-        if self.system_state is SystemState.BOOT:
-            raise SimInternalError("step before boot")
         if self.system_state is SystemState.SAFE_STATE:
             raise SimInternalError("step after safe state")
         self.cycle += 1
@@ -259,41 +247,25 @@ class World:
         self.request_queue = []
 
     def _phase_entry(self, c: int, sync_arrivals: List[int]) -> None:
-        for b_id in sync_arrivals:
-            decision = self.monitor.on_sync_read(b_id, c)
-            if decision == "rejected":
-                if self.monitor.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING):
-                    context = "session_running"
-                else:
-                    context = "no_session"
-                self._reject(b_id, context)
-        session = self.monitor.finalize_rendezvous(
-            c, self.rng, self.scenario.flags.random_selection
-        )
-        if session is None:
+        answer = self.monitor.finalize_rendezvous(sync_arrivals, c)
+        if answer is None:
             return
-        for b_id in session.accepted:
+        accepted, rejected, context = answer
+        for b_id in accepted:
             self.mailbox[b_id] = LockstepMonitor.ACCEPT
             self.emit(4, "monitor", "accept", {"block": b_id, "response": 1})
-        for b_id in session.rejected:
-            self._reject(b_id, "surplus")
-        self.emit(4, "monitor", "irq_deassert", {})
-        self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
-
-    def _reject(self, b_id: int, context: str) -> None:
-        self.mailbox[b_id] = LockstepMonitor.REJECT
-        self.emit(4, "monitor", "reject", {"block": b_id, "response": 0, "context": context})
-        self.counters["rejected"] += 1
+        for b_id in rejected:
+            self.mailbox[b_id] = LockstepMonitor.REJECT
+            self.emit(4, "monitor", "reject", {"block": b_id, "response": 0, "context": context})
+        self.counters["rejected"] += len(rejected)
+        if accepted:
+            self.emit(4, "monitor", "irq_deassert", {})
+            self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
 
     def _phase_exit(self, c: int, exit_arrivals: List[int]) -> None:
-        for b_id in exit_arrivals:
-            before = self.monitor.sync_state
-            decision = self.monitor.on_exit_read(b_id, c)
-            if decision == "rejected":
-                self._reject(b_id, "exit_not_enabled")
-            elif before is SyncState.LOCKSTEP and self.monitor.sync_state is SyncState.RELEASING:
-                self.emit(4, "monitor", "state_change", {"from": "lockstep", "to": "releasing"})
-        released = self.monitor.finalize_release(c)
+        if exit_arrivals and self.monitor.sync_state is SyncState.LOCKSTEP:
+            self.emit(4, "monitor", "state_change", {"from": "lockstep", "to": "releasing"})
+        released = self.monitor.finalize_release(exit_arrivals, c)
         if released is None:
             return
         for b_id in released:
@@ -312,16 +284,13 @@ class World:
                 ) from None
             self.mailbox[b_id] = response
 
-        if self.monitor.frozen or self.monitor.sync_state not in (
-            SyncState.LOCKSTEP,
-            SyncState.RELEASING,
-        ):
+        if self.monitor.sync_state not in (SyncState.LOCKSTEP, SyncState.RELEASING):
             return
         members = self.monitor.sessions[-1].accepted
         port_inputs = [(b_id, self.held_tx.get(b_id)) for b_id in members]
         if all(tx is None for _, tx in port_inputs):
             return  # unanimous idle cycle: not a fault, nothing to vote
-        result = self.monitor.vote(port_inputs, c)
+        result = self.monitor.vote(port_inputs)
         self.emit(
             5,
             "monitor",
@@ -349,7 +318,7 @@ class World:
         except UnmappedAddress:
             # the majority agreed on an address the voted bus cannot serve
             self.emit(5, "monitor", "forward", dict(detail, unmapped=1))
-            self.monitor.report_bus_fault(c, "unmapped_address")
+            self.monitor.report_bus_fault("unmapped_address")
             return
         self.emit(5, "monitor", "forward", dict(detail, response=response))
         # shared-bus acknowledge: every live pending data transaction completes
@@ -372,8 +341,8 @@ class World:
 
     def run(self, max_cycles: Optional[int] = None) -> None:
         limit = self.scenario.max_cycles if max_cycles is None else max_cycles
-        if self.system_state is SystemState.BOOT:
-            self.boot()
+        if limit < 0:
+            raise ValidationError("max_cycles override", "must be >= 0")
         while self.system_state is not SystemState.SAFE_STATE and self.cycle < limit:
             self.step()
             if self.quiescent():

@@ -1,11 +1,12 @@
 """Lockstep monitor: group controller, rendezvous synchronizer, majority
 voter and availability observer.
 
-One session at a time.  A session request asserts the group IRQ; blocking
-reads of the synchronization register stall at the monitor until the first
-``n_required`` responders are admitted together (ties within one cycle break
-by ascending block id, or by seeded random choice when enabled).  Everything
-arriving later, or while no session is gathering, is answered zero at once.
+One session at a time, and one call per protocol step and cycle that returns
+every answer.  A session request asserts the group IRQ; blocking reads of the
+synchronization register stall at the monitor until the first ``n_required``
+responders are admitted together (ties within one cycle break by ascending
+block id, or by the seeded ``rng`` when given).  Everything arriving later,
+or while no session is gathering, is answered zero at once.
 
 While the group runs the safe program the voter compares the per-port
 transaction streams pairwise (an n x n boolean matrix), forwards the lowest
@@ -16,8 +17,8 @@ read until all group members have issued theirs, then answers them together.
 
 The observer raises an availability error when gathering or execution outlive
 their cycle budgets, or at once on a no-majority cycle or a voted commit to
-an address the voted bus cannot serve; after that the monitor freezes and
-defers to the system-level safe-state transition.
+an address the voted bus cannot serve; after that the monitor is frozen and
+the system-level safe-state transition ends the run.
 
 The monitor owns the session records: one per session request, filled in as
 the session is admitted, rejects late readers, is released or fails.  The
@@ -143,97 +144,80 @@ class SessionRecord:
 
 class LockstepMonitor:
     """Session state machine shared by the controller, synchronizer, voter
-    and observer roles."""
+    and observer roles.  ``rng``, when given, breaks admission ties at
+    random instead of by block id."""
 
     ACCEPT = 0x01
     REJECT = 0x00
 
-    def __init__(self, config: MoonConfig):
+    def __init__(self, config: MoonConfig, rng: Optional[random.Random] = None):
         self.config = config
+        self.rng = rng
         self.sync_state = SyncState.IDLE
         self.sessions: List[SessionRecord] = []
-        self.arrived: List[Tuple[int, int]] = []  # (cycle, block_id) in order
+        self.arrived: List[int] = []  # gathered block ids of earlier cycles
         self.exited: set = set()
         self.frozen = False
-        # (cycle, reason) of a voted-bus fault for the observer to report
-        self._bus_fault: Optional[Tuple[int, str]] = None
+        self._bus_fault: Optional[str] = None  # reason for the observer
 
     # -- controller --------------------------------------------------------
 
     def request_sp(self, cycle: int) -> bool:
         """Start a session if idle.  Returns False when a session already
         runs (the request is dropped with a warning upstream)."""
-        if self.frozen or self.sync_state is not SyncState.IDLE:
+        if self.sync_state is not SyncState.IDLE:
             return False
         self.sync_state = SyncState.GATHERING
         self.sessions.append(SessionRecord(gather_cycle=cycle))
-        self.arrived = []
-        self.exited = set()
         return True
 
     # -- synchronizer: entry -----------------------------------------------
 
-    def on_sync_read(self, block_id: int, cycle: int) -> str:
-        """Record one arriving sync read.  Returns "stalled" or "rejected"
-        (rejections are answered zero the same cycle).  Admission happens in
-        :meth:`finalize_rendezvous` once the whole cycle has arrived."""
-        if self.frozen or self.sync_state is not SyncState.GATHERING:
-            if not self.frozen and self.sync_state is not SyncState.IDLE:
-                self.sessions[-1].rejected.append(block_id)
-            return "rejected"
-        self.arrived.append((cycle, block_id))
-        return "stalled"
-
     def finalize_rendezvous(
-        self, cycle: int, rng: Optional[random.Random] = None, random_selection: bool = False
-    ) -> Optional[SessionRecord]:
-        """Admit the first n_required arrivals once present and return the
-        session record, whose ``rejected`` list is then the same-cycle
-        surplus.  Earlier-cycle arrivals keep strict first-come priority; the
-        cohort of the crossing cycle is tie-broken by ascending block id, or
-        sampled with ``rng`` when random selection is enabled."""
-        if self.sync_state is not SyncState.GATHERING:
+        self, readers: List[int], cycle: int
+    ) -> Optional[Tuple[List[int], List[int], str]]:
+        """Answer this cycle's sync readers with ``(accepted, rejected,
+        context)``, or None while none gets an answer.  Outside gathering all
+        are rejected: "no_session" when idle, else "session_running".  Once
+        n_required have arrived they are admitted together: earlier cycles
+        keep first-come priority, this cycle's cohort is tie-broken by block
+        id or sampled with ``rng``, and its rest is rejected as "surplus"."""
+        if not readers:
             return None
-        n = self.config.n_required
-        if len(self.arrived) < n:
-            return None
-        prior = [b for (c, b) in self.arrived if c < cycle]
-        cohort = [b for (c, b) in self.arrived if c == cycle]
-        assert len(prior) < n, "rendezvous should have closed earlier"
-        slots = n - len(prior)
-        if random_selection and rng is not None and len(cohort) > slots:
-            chosen = set(rng.sample(sorted(cohort), slots))
-        else:
-            chosen = set(sorted(cohort)[:slots])
+        if self.sync_state is SyncState.IDLE:
+            return [], readers, "no_session"
         record = self.sessions[-1]
+        if self.sync_state is not SyncState.GATHERING:
+            record.rejected.extend(readers)
+            return [], readers, "session_running"
+        slots = self.config.n_required - len(self.arrived)
+        if len(readers) < slots:
+            self.arrived.extend(readers)
+            return None
+        cohort = sorted(readers)
+        if self.rng is not None and len(cohort) > slots:
+            chosen = set(self.rng.sample(cohort, slots))
+        else:
+            chosen = set(cohort[:slots])
         record.lockstep_cycle = cycle
-        record.accepted = sorted(prior + [b for b in cohort if b in chosen])
-        record.rejected = sorted(b for b in cohort if b not in chosen)
+        record.accepted = sorted(self.arrived + [b for b in cohort if b in chosen])
+        record.rejected = [b for b in cohort if b not in chosen]
         self.arrived = []
         self.sync_state = SyncState.LOCKSTEP
-        return record
+        return record.accepted, record.rejected, "surplus"
 
     # -- synchronizer: exit -------------------------------------------------
 
-    def on_exit_read(self, block_id: int, cycle: int) -> str:
-        if (
-            self.frozen
-            or self.sync_state not in (SyncState.LOCKSTEP, SyncState.RELEASING)
-            or block_id not in self.sessions[-1].accepted
-        ):
-            return "rejected"
-        self.exited.add(block_id)
-        if self.sync_state is SyncState.LOCKSTEP:
-            self.sync_state = SyncState.RELEASING
-        return "stalled"
-
-    def finalize_release(self, cycle: int) -> Optional[List[int]]:
-        """Release the whole group once every member has issued its exit
-        read; all of them are answered together."""
-        if self.sync_state is not SyncState.RELEASING or self.frozen:
+    def finalize_release(self, readers: List[int], cycle: int) -> Optional[List[int]]:
+        """Stall this cycle's exit readers, all group members, and release
+        the whole group once every member has issued its exit read; all of
+        them are answered together.  The first exit read starts releasing."""
+        if not readers:
             return None
+        self.sync_state = SyncState.RELEASING
+        self.exited.update(readers)
         record = self.sessions[-1]
-        if set(record.accepted) - self.exited:
+        if not self.exited.issuperset(record.accepted):
             return None
         record.release_cycle = cycle
         record.outcome = "completed"
@@ -243,38 +227,37 @@ class LockstepMonitor:
 
     # -- voter ---------------------------------------------------------------
 
-    def vote(self, port_inputs: List[Tuple[int, Optional[BusTransaction]]], cycle: int) -> VoteResult:
+    def vote(self, port_inputs: List[Tuple[int, Optional[BusTransaction]]]) -> VoteResult:
         ports = [b for b, _ in port_inputs]
         result = run_vote([tx for _, tx in port_inputs], self.config.m_agree, ports)
         if result.no_majority:
-            self.report_bus_fault(cycle, "no_majority")
+            self.report_bus_fault("no_majority")
         return result
 
-    def report_bus_fault(self, cycle: int, reason: str) -> None:
-        """Mark a voted-bus fault of this cycle for the observer."""
-        self._bus_fault = (cycle, reason)
+    def report_bus_fault(self, reason: str) -> None:
+        """Mark a voted-bus fault for this cycle's observer."""
+        self._bus_fault = reason
 
     # -- observer -------------------------------------------------------------
 
     def observe(self, cycle: int) -> Optional[str]:
         """Availability check for this cycle; returns the error reason and
-        freezes the monitor when one fires."""
-        if self.frozen:
-            return None
-        reason = None
-        if self._bus_fault is not None and self._bus_fault[0] == cycle:
-            reason = self._bus_fault[1]
-        elif (
-            self.sync_state is SyncState.GATHERING
-            and cycle > self.sessions[-1].gather_cycle + self.config.t_gather
-        ):
-            reason = "gather_timeout"
-        elif (
-            self.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING)
-            and cycle > self.sessions[-1].lockstep_cycle + self.config.t_exec
-        ):
-            reason = "exec_timeout"
-        if reason is not None:
-            self.frozen = True
-            self.sessions[-1].outcome = reason
+        freezes the monitor when one fires.  A frozen monitor ends the run,
+        so nothing calls the monitor after that."""
+        reason = self._bus_fault
+        if reason is None:
+            if (
+                self.sync_state is SyncState.GATHERING
+                and cycle > self.sessions[-1].gather_cycle + self.config.t_gather
+            ):
+                reason = "gather_timeout"
+            elif (
+                self.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING)
+                and cycle > self.sessions[-1].lockstep_cycle + self.config.t_exec
+            ):
+                reason = "exec_timeout"
+            else:
+                return None
+        self.frozen = True
+        self.sessions[-1].outcome = reason
         return reason

@@ -199,6 +199,13 @@ def _int_field(mapping: Dict, key: str, path: str) -> int:
     return value
 
 
+def check_seed(seed: int, where: str) -> int:
+    """``seed`` if in range; ``random.Random`` would seed ``-s`` as ``s``."""
+    if not (0 <= seed < 2**64):
+        raise ValidationError(where, "must be in 0..2**64-1")
+    return seed
+
+
 def _mapping(value, where: str, known) -> Dict:
     """``value`` if it is a mapping whose keys are all in ``known``.  ``where``
     is its field path, empty for a whole document."""
@@ -286,9 +293,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     name = _require(doc, "name", "")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "must be a non-empty string")
-    seed = _int_field(doc, "seed", "")
-    if not (0 <= seed < 2**64):
-        raise ValidationError("seed", "must fit in 64 bits")
+    seed = check_seed(_int_field(doc, "seed", ""), "seed")
     n_blocks = _int_field(doc, "n_blocks", "")
 
     moon_doc = _mapping(_require(doc, "moon", ""), "moon", _MOON_FIELDS)

@@ -178,11 +178,7 @@ def check_arrival_point(report: Report, latencies: Sequence[int], n_required: in
     accepted_events = [e for e in report.trace if e.kind == "accept"]
     accepted = sorted(e.detail["block"] for e in accepted_events)
     accept_cycles = {e.cycle for e in accepted_events}
-    rejected = sorted(
-        e.detail["block"]
-        for e in report.trace
-        if e.kind == "reject" and e.detail.get("context") != "exit_not_enabled"
-    )
+    rejected = sorted(e.detail["block"] for e in report.trace if e.kind == "reject")
     want_accept, want_reject, want_entry = expected_admission(
         gather[0], latencies, n_required
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -135,8 +136,8 @@ class SessionAudit:
     release_cycle: Optional[int] = None
     accepted: List[int] = field(default_factory=list)
     rejected: List[int] = field(default_factory=list)
-    sync_reads: Dict[int, int] = field(default_factory=dict)
-    exit_reads: Dict[int, int] = field(default_factory=dict)
+    sync_reads: Counter = field(default_factory=Counter)
+    exit_reads: Counter = field(default_factory=Counter)
 
     @property
     def completed(self) -> bool:
@@ -145,30 +146,35 @@ class SessionAudit:
 
 def audit_sessions(events: List[TraceEvent]) -> List[SessionAudit]:
     """Reconstruct sessions from a trace: membership, rejections and the
-    per-block counts of synchronization-register reads."""
+    per-block counts of synchronization-register reads.  A sync read traced
+    in phase 3 of the cycle whose phase 4 opens a session is gathered by it."""
     sessions: List[SessionAudit] = []
     current: Optional[SessionAudit] = None
+    idle_reads: List[TraceEvent] = []  # sync reads while no session is open
     for ev in events:
         if ev.entity == "monitor" and ev.kind == "state_change":
             to = ev.detail.get("to")
             if to == "gathering":
                 current = SessionAudit(gather_cycle=ev.cycle)
+                current.sync_reads.update(int(r.entity) for r in idle_reads if r.cycle == ev.cycle)
                 sessions.append(current)
+                idle_reads = []
             elif to == "lockstep" and current is not None:
                 current.lockstep_cycle = ev.cycle
             elif to == "idle" and current is not None:
                 current.release_cycle = ev.cycle
                 current = None
+        elif ev.kind == "sync_read":
+            if current is None:
+                idle_reads.append(ev)
+            else:
+                current.sync_reads[int(ev.entity)] += 1
         elif current is not None:
-            if ev.kind == "sync_read":
-                b = int(ev.entity)
-                current.sync_reads[b] = current.sync_reads.get(b, 0) + 1
-            elif ev.kind == "exit_read":
-                b = int(ev.entity)
-                current.exit_reads[b] = current.exit_reads.get(b, 0) + 1
+            if ev.kind == "exit_read":
+                current.exit_reads[int(ev.entity)] += 1
             elif ev.kind == "accept":
                 current.accepted.append(ev.detail["block"])
-            elif ev.kind == "reject" and ev.detail.get("context") != "exit_not_enabled":
+            elif ev.kind == "reject":
                 current.rejected.append(ev.detail["block"])
     return sessions
 

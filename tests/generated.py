@@ -7,11 +7,18 @@ safe programs, external triggers, mixed faults (a corrupted address is
 sometimes copied onto a second port so two ports can agree on it), IRQ
 latencies, random selection and soak noise.  The identity test pins the hash
 of indexes 0-199, so any change here that moves a drawn value moves it.
+
+``wide_scenario(index)`` widens ``random_scenario(index)`` from a second
+``Random``: spare blocks that trigger and arrive late, more external
+triggers and random selection on half the indexes, so that every reject
+context (``surplus``, ``session_running``, ``no_session``) and random
+surplus admissions occur often.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import Optional
 
 from lockstepsim import (
@@ -56,25 +63,8 @@ def random_scenario(index: int) -> Scenario:
             safe.append(Read(LS_RAM_BASE + rng.randrange(4)))
         else:
             safe.append(Compute(rng.randint(1, 3)))
-    programs = []
-    for b in range(n_blocks):
-        prog = []
-        for _ in range(rng.randint(3, 8)):
-            pick = rng.random()
-            if pick < 0.5:
-                prog.append(Compute(rng.randint(1, 6)))
-            elif pick < 0.7:
-                prog.append(Write(rng.randrange(16), rng.randrange(100)))
-            elif pick < 0.85:
-                prog.append(Read(rng.randrange(16)))
-            elif b == 0 or rng.random() < 0.3:
-                prog.append(TriggerSP(TriggerSource.APP_TRIGGERED))
-        prog.append(Halt())
-        programs.append(prog)
-    triggers = sorted(
-        (ExternalTrigger(rng.randint(1, 40), rng.choice(EXTERNAL)) for _ in range(rng.randint(0, 2))),
-        key=lambda t: t.cycle,
-    )
+    programs = [normal_program(rng, b == 0) for b in range(n_blocks)]
+    triggers = external_triggers(rng, rng.randint(0, 2), 40)
     faults = []
     for _ in range(rng.randint(0, 4)):
         kind = rng.choice(list(FaultKind))
@@ -107,6 +97,53 @@ def random_scenario(index: int) -> Scenario:
         flags=Flags(random_selection=rng.random() < 0.3),
         irq_latency=[rng.randint(0, 3) for _ in range(n_blocks)] if rng.random() < 0.5 else None,
         noise_flip_probability=0.02 if rng.random() < 0.2 else 0.0,
+    )
+
+
+def normal_program(rng: random.Random, requester: bool) -> list:
+    """A short normal program; a requester always triggers where a
+    non-requester draws whether to."""
+    prog = []
+    for _ in range(rng.randint(3, 8)):
+        pick = rng.random()
+        if pick < 0.5:
+            prog.append(Compute(rng.randint(1, 6)))
+        elif pick < 0.7:
+            prog.append(Write(rng.randrange(16), rng.randrange(100)))
+        elif pick < 0.85:
+            prog.append(Read(rng.randrange(16)))
+        elif requester or rng.random() < 0.3:
+            prog.append(TriggerSP(TriggerSource.APP_TRIGGERED))
+    prog.append(Halt())
+    return prog
+
+
+def external_triggers(rng: random.Random, count: int, last_cycle: int) -> list:
+    return sorted(
+        (ExternalTrigger(rng.randint(1, last_cycle), rng.choice(EXTERNAL)) for _ in range(count)),
+        key=lambda t: t.cycle,
+    )
+
+
+def wide_scenario(index: int) -> Scenario:
+    """``random_scenario(index)`` plus 1 to ``n_required + 2`` spare blocks
+    with IRQ latencies up to 6, up to six more external triggers, and random
+    selection on half the indexes.  The base scenario's draws are untouched."""
+    base = random_scenario(index)
+    rng = random.Random(1_000_000 + index)
+    extra = rng.randint(1, base.moon.n_required + 2)
+    latencies = base.irq_latency or [0] * base.n_blocks
+    return replace(
+        base,
+        name=f"wide-{index}",
+        n_blocks=base.n_blocks + extra,
+        programs=base.programs + [normal_program(rng, rng.random() < 0.5) for _ in range(extra)],
+        triggers=sorted(
+            base.triggers + external_triggers(rng, rng.randint(0, 6), 80), key=lambda t: t.cycle
+        ),
+        max_cycles=160,
+        flags=Flags(random_selection=rng.random() < 0.5),
+        irq_latency=latencies + [rng.randint(0, 6) for _ in range(extra)],
     )
 
 

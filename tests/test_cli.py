@@ -209,6 +209,30 @@ def test_max_cycles_override(tmp_path):
     assert doc["cycles_run"] == 3
 
 
+# a negative seed override would alias its absolute value, one past 64 bits is
+# refused in the scenario file, and a negative cycle limit would run no cycle
+@pytest.mark.parametrize(
+    "option,value,diagnostic",
+    [
+        ("--seed", "-5", "seed override: must be in 0..2**64-1"),
+        ("--seed", str(2**64), "seed override: must be in 0..2**64-1"),
+        ("--max-cycles", "-3", "max_cycles override: must be >= 0"),
+    ],
+)
+def test_out_of_range_override_exits_three(capsys, option, value, diagnostic):
+    assert main(["run", FIG5, "--quiet", "--trace", "-", option, value]) == EXIT_SCENARIO_ERROR
+    captured = capsys.readouterr()
+    assert diagnostic in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "option,value", [("--seed", "0"), ("--seed", str(2**64 - 1)), ("--max-cycles", "0")]
+)
+def test_override_range_ends_are_legal(option, value):
+    assert main(["run", FIG5, "--quiet", option, value]) == EXIT_OK
+
+
 # -- run: trace and report sinks ----------------------------------------------------------
 
 

@@ -119,7 +119,6 @@ def test_lockstep_group_commits_one_transparent_image(safe_program, n_blocks, n,
 
 def test_boot_emits_configuration_and_state():
     world = World(group_scenario())
-    world.boot()
     assert world.system_state is SystemState.NORMAL_PROCESSING
     kinds = [(e.kind, e.entity) for e in world.trace]
     assert kinds == [("boot", "system"), ("state_change", "system")]
@@ -138,31 +137,16 @@ def test_failed_boot_check_goes_straight_to_safe_state():
     assert report.sessions == []
 
 
-def test_boot_twice_is_an_internal_error():
-    world = World(group_scenario())
-    world.boot()
-    with pytest.raises(SimInternalError):
-        world.boot()
-
-
-def test_step_before_boot_is_an_internal_error():
-    world = World(group_scenario())
-    with pytest.raises(SimInternalError):
-        world.step()
-
-
 def test_step_after_safe_state_is_an_internal_error():
     scenario = group_scenario()
     scenario.boot_check = "fail"
     world = World(scenario)
-    world.boot()
     with pytest.raises(SimInternalError):
         world.step()
 
 
 def test_session_transition_from_the_wrong_state_is_an_internal_error():
     world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
-    world.boot()
     world.system_state = SystemState.SAFE_PROCESSING_MODE  # out of step with the monitor
     with pytest.raises(SimInternalError, match="illegal system transition safe_processing_mode -> synchronizing"):
         world.step()
@@ -170,7 +154,6 @@ def test_session_transition_from_the_wrong_state_is_an_internal_error():
 
 def test_monitor_skipping_gathering_is_an_internal_error(monkeypatch):
     world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
-    world.boot()
     monitor = world.monitor
 
     def request_straight_to_lockstep(cycle):  # a monitor bug: idle -> lockstep

@@ -1,26 +1,37 @@
 """Protocol invariants on generated scenarios.
 
-Every scenario the trace-identity corpus draws from ``random_scenario`` is
-run with the trace on and off, and each run must keep the protocol's
-invariants: events in order, only allowed system-state arcs, a report that
-does not depend on the trace, counters that agree with the session records
-and the trace, and the sync-register read counts of every completed session.
-Runs the identity corpus leaves out (a corrupted address its bus cannot
-serve) are skipped.
+Every scenario the trace-identity corpus draws from ``random_scenario``, and
+its widened ``wide_scenario`` variant, is run with the trace on and off, and
+each run must keep the protocol's invariants: events in order, only allowed
+system-state arcs, a report that does not depend on the trace, counters that
+agree with the session records and the trace, reject contexts from the three
+the monitor gives, exit reads only from members of the open session, and the
+sync-register read counts of every completed session.  Runs the identity
+corpus leaves out (a corrupted address its bus cannot serve) are skipped.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from generated import random_scenario, run_unless_unmapped
+from generated import random_scenario, run_unless_unmapped, wide_scenario
 from lockstepsim import audit_event_order, audit_sessions, run
 from lockstepsim.trace import audit_system_path
 
 
 @pytest.mark.parametrize("index", range(200))
 def test_generated_run_keeps_the_protocol_invariants(index):
-    scenario = random_scenario(index)
+    check_invariants(random_scenario(index), rejected_once=True)
+
+
+@pytest.mark.parametrize("index", range(200))
+def test_wide_run_keeps_the_protocol_invariants(index):
+    # a block that still holds an IRQ latched for an earlier session reads,
+    # and is rejected, once per latch
+    check_invariants(wide_scenario(index), rejected_once=False)
+
+
+def check_invariants(scenario, rejected_once):
     report = run_unless_unmapped(scenario)
     if report is None:
         pytest.skip("corrupted address its bus cannot serve")
@@ -35,11 +46,26 @@ def test_generated_run_keeps_the_protocol_invariants(index):
     assert report.availability_errors == (report.final_state == "safe_state")
     assert report.availability_errors == kinds.count("availability_error")
     assert report.no_majority_cycles == kinds.count("no_majority")
+    rejects = [e for e in trace if e.kind == "reject"]
+    assert report.rejected == len(rejects)
+    assert {e.detail["context"] for e in rejects} <= {"surplus", "session_running", "no_session"}
+
+    members = set()  # of the open session, from its admission to its release
+    for e in trace:
+        if e.kind == "accept":
+            members.add(e.detail["block"])
+        elif e.kind == "release":
+            members = set()
+        elif e.kind == "exit_read":
+            assert int(e.entity) in members, e
 
     for session in audit_sessions(trace):
         if not session.completed:
             continue
         for b in session.accepted:
             assert (session.sync_reads.get(b, 0), session.exit_reads.get(b, 0)) == (1, 1), b
+        if rejected_once:
+            assert len(set(session.rejected)) == len(session.rejected)
         for b in session.rejected:
-            assert (session.sync_reads.get(b, 0), session.exit_reads.get(b, 0)) == (1, 0), b
+            want = (session.rejected.count(b), 0)
+            assert (session.sync_reads.get(b, 0), session.exit_reads.get(b, 0)) == want, b

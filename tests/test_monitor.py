@@ -97,91 +97,76 @@ def test_second_request_is_dropped_while_busy():
 # -- rendezvous admission --------------------------------------------------------------
 
 
-def finalize(mon, cycle):
-    return mon.finalize_rendezvous(cycle)
+def enter(mon, readers, cycle):
+    return mon.finalize_rendezvous(list(readers), cycle)
 
 
 def test_admission_waits_for_n_arrivals():
     mon = monitor(n=3)
     mon.request_sp(1)
-    assert mon.on_sync_read(0, 10) == "stalled"
-    assert mon.on_sync_read(1, 10) == "stalled"
-    assert finalize(mon, 10) is None  # only two of three present
+    assert enter(mon, [], 9) is None  # nobody read the sync register
+    assert enter(mon, [0, 1], 10) is None  # only two of three present: both stall
     assert mon.sync_state is SyncState.GATHERING
-    assert mon.on_sync_read(2, 12) == "stalled"
-    result = finalize(mon, 12)
-    assert result is not None
-    assert result.accepted == [0, 1, 2]
-    assert result.rejected == []
+    assert mon.arrived == [0, 1]
+    accepted, rejected, context = enter(mon, [2], 12)
+    assert (accepted, rejected, context) == ([0, 1, 2], [], "surplus")
     assert mon.sync_state is SyncState.LOCKSTEP
-    assert result is mon.sessions[-1]
-    assert (result.gather_cycle, result.lockstep_cycle) == (1, 12)
+    assert mon.arrived == []
+    record = mon.sessions[-1]
+    assert (record.accepted, record.rejected) == ([0, 1, 2], [])
+    assert (record.gather_cycle, record.lockstep_cycle) == (1, 12)
 
 
 def test_same_cycle_ties_break_by_block_id():
     mon = monitor(n=3)
     mon.request_sp(1)
-    for b in (3, 1, 0, 2):  # arrival order within the cycle is irrelevant
-        mon.on_sync_read(b, 2)
-    result = finalize(mon, 2)
-    assert result.accepted == [0, 1, 2]
-    assert result.rejected == [3]
+    # arrival order within the cycle is irrelevant
+    assert enter(mon, [3, 1, 0, 2], 2) == ([0, 1, 2], [3], "surplus")
 
 
 def test_earlier_cycle_beats_lower_id():
     mon = monitor(n=2)
     mon.request_sp(1)
-    mon.on_sync_read(3, 2)
-    assert finalize(mon, 2) is None
-    mon.on_sync_read(0, 3)
-    mon.on_sync_read(1, 3)
-    result = finalize(mon, 3)
+    assert enter(mon, [3], 2) is None
     # block 3 arrived a cycle earlier and keeps its slot; block 0 wins the tie
-    assert result.accepted == [0, 3]
-    assert result.rejected == [1]
+    assert enter(mon, [0, 1], 3) == ([0, 3], [1], "surplus")
 
 
 def test_random_selection_samples_only_the_crossing_cohort():
     seen = set()
     for seed in range(12):
-        mon = monitor(n=3)
+        mon = LockstepMonitor(cfg(3, 2), rng=random.Random(seed))
         mon.request_sp(1)
-        mon.on_sync_read(0, 2)  # early bird: always admitted
-        for b in (1, 2, 3):
-            mon.on_sync_read(b, 3)
-        result = mon.finalize_rendezvous(3, random.Random(seed), random_selection=True)
-        assert 0 in result.accepted
-        assert len(result.accepted) == 3
-        assert sorted(result.accepted + result.rejected) == [0, 1, 2, 3]
-        seen.add(tuple(result.accepted))
+        enter(mon, [0], 2)  # early bird: always admitted
+        accepted, rejected, _ = enter(mon, [1, 2, 3], 3)
+        assert 0 in accepted
+        assert len(accepted) == 3
+        assert sorted(accepted + rejected) == [0, 1, 2, 3]
+        seen.add(tuple(accepted))
     assert len(seen) > 1  # the seed really steers the tie-break
 
 
 def test_record_lists_rejections_only_while_the_session_is_open():
     mon = monitor(n=2)
-    assert mon.on_sync_read(3, 1) == "rejected"  # before any session
+    assert enter(mon, [3], 1) == ([], [3], "no_session")  # before any session
     mon.request_sp(2)
-    for b in (0, 1, 2):
-        mon.on_sync_read(b, 3)
-    record = finalize(mon, 3)
+    record = mon.sessions[-1]
+    enter(mon, [0, 1, 2], 3)
     assert (record.accepted, record.rejected) == ([0, 1], [2])  # same-cycle surplus
-    assert mon.on_sync_read(3, 4) == "rejected"  # during lockstep: listed
-    assert mon.on_exit_read(3, 4) == "rejected"  # exit reads are never listed
-    for b in (0, 1):
-        mon.on_exit_read(b, 5)
-    assert mon.finalize_release(5) == [0, 1]
-    assert mon.on_sync_read(2, 6) == "rejected"  # after release: not listed
+    assert enter(mon, [3], 4) == ([], [3], "session_running")  # during lockstep: listed
+    assert mon.finalize_release([0, 1], 5) == [0, 1]
+    assert enter(mon, [2], 6) == ([], [2], "no_session")  # after release: not listed
     assert record.rejected == [2, 3]
 
 
 def test_reads_outside_gathering_are_rejected():
     mon = monitor(n=2)
-    assert mon.on_sync_read(0, 1) == "rejected"  # idle: no session
+    assert enter(mon, [0], 1) == ([], [0], "no_session")
     mon.request_sp(2)
-    mon.on_sync_read(0, 3)
-    mon.on_sync_read(1, 3)
-    finalize(mon, 3)
-    assert mon.on_sync_read(2, 4) == "rejected"  # session already running
+    enter(mon, [0, 1], 3)
+    assert enter(mon, [2, 3], 4) == ([], [2, 3], "session_running")
+    assert mon.finalize_release([0], 5) is None
+    assert enter(mon, [2], 6) == ([], [2], "session_running")  # releasing too
 
 
 # -- controlled release -----------------------------------------------------------------
@@ -190,40 +175,31 @@ def test_reads_outside_gathering_are_rejected():
 def locked_monitor():
     mon = monitor(n=3)
     mon.request_sp(1)
-    for b in (0, 1, 2):
-        mon.on_sync_read(b, 2)
-    finalize(mon, 2)
+    enter(mon, [0, 1, 2], 2)
     return mon
 
 
 def test_release_waits_for_every_member():
     mon = locked_monitor()
-    assert mon.on_exit_read(0, 5) == "stalled"
+    assert mon.finalize_release([], 4) is None
+    assert mon.sync_state is SyncState.LOCKSTEP
+    assert mon.finalize_release([0], 5) is None  # the first exit read starts releasing
     assert mon.sync_state is SyncState.RELEASING
-    assert mon.finalize_release(5) is None
-    assert mon.on_exit_read(2, 6) == "stalled"
-    assert mon.finalize_release(6) is None
-    assert mon.on_exit_read(1, 7) == "stalled"
-    assert mon.finalize_release(7) == [0, 1, 2]
+    assert mon.finalize_release([2], 6) is None
+    assert mon.finalize_release([1], 7) == [0, 1, 2]
     assert mon.sync_state is SyncState.IDLE
     record = mon.sessions[-1]
     assert (record.release_cycle, record.outcome) == (7, "completed")
 
 
-def test_exit_read_from_outsider_is_rejected():
-    mon = locked_monitor()
-    assert mon.on_exit_read(3, 5) == "rejected"  # never admitted
-    assert mon.sync_state is SyncState.LOCKSTEP
-
-
 def test_monitor_is_reusable_after_release():
     mon = locked_monitor()
-    for b in (0, 1, 2):
-        mon.on_exit_read(b, 5)
-    mon.finalize_release(5)
+    assert mon.finalize_release([0, 1, 2], 5) == [0, 1, 2]
     assert mon.request_sp(8)
     assert [s.gather_cycle for s in mon.sessions] == [1, 8]
-    assert mon.on_exit_read(0, 9) == "rejected"  # the old group is not a member
+    assert (mon.arrived, mon.exited) == ([], set())  # the old group left nothing behind
+    assert enter(mon, [2, 0, 1], 9) == ([0, 1, 2], [], "surplus")
+    assert mon.finalize_release([1], 10) is None  # the new session needs every exit read
 
 
 # -- voter -------------------------------------------------------------------------------
@@ -300,7 +276,7 @@ def test_vote_matrix_symmetry_small():
 
 def test_vote_records_no_majority_cycle_for_observer():
     mon = locked_monitor()
-    result = mon.vote([(0, wtx(1)), (1, wtx(2)), (2, wtx(3))], cycle=9)
+    result = mon.vote([(0, wtx(1)), (1, wtx(2)), (2, wtx(3))])
     assert result.no_majority
     assert mon.observe(9) == "no_majority"
     assert mon.frozen
@@ -309,9 +285,10 @@ def test_vote_records_no_majority_cycle_for_observer():
 
 def test_reported_bus_fault_is_raised_on_its_cycle_only():
     mon = locked_monitor()
-    mon.report_bus_fault(9, "unmapped_address")
     assert mon.observe(8) is None
-    assert mon.observe(9) == "unmapped_address"
+    mon.report_bus_fault("unmapped_address")
+    assert mon.observe(9) == "unmapped_address"  # the observer of the reporting cycle
+    assert mon.frozen
     assert mon.sessions[-1].outcome == "unmapped_address"
 
 
@@ -331,10 +308,8 @@ def test_gather_timeout_fires_one_cycle_past_budget():
 def test_exec_timeout_covers_lockstep_and_releasing():
     mon = monitor(n=3, t_exec=5)
     mon.request_sp(1)
-    for b in range(3):
-        mon.on_sync_read(b, 2)
-    mon.finalize_rendezvous(2)
-    mon.on_exit_read(0, 4)  # releasing, but block 1 and 2 never exit
+    enter(mon, range(3), 2)
+    mon.finalize_release([0], 4)  # releasing, but block 1 and 2 never exit
     assert mon.sync_state is SyncState.RELEASING
     for c in range(3, 8):
         assert mon.observe(c) is None
@@ -346,14 +321,3 @@ def test_idle_monitor_never_times_out():
     mon = monitor(t_gather=1, t_exec=1)
     for c in range(1, 30):
         assert mon.observe(c) is None
-
-
-def test_frozen_monitor_rejects_everything():
-    mon = monitor(n=3, t_gather=1)
-    mon.request_sp(1)
-    assert mon.observe(3) == "gather_timeout"
-    assert mon.on_sync_read(0, 4) == "rejected"
-    assert mon.on_exit_read(0, 4) == "rejected"
-    assert not mon.request_sp(5)
-    assert mon.finalize_release(5) is None
-    assert mon.observe(6) is None  # reported once, then silent
