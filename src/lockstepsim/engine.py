@@ -8,8 +8,8 @@ executes seven phases in a fixed order:
 3. block ticks, ascending block id (transactions collected, not yet served;
    the state a tick ends in names its transaction: a sync read, an exit
    read, voted data or a system-bus access)
-4. monitor rendezvous work: IRQ latch delivery, session requests, entry
-   arrivals and admission, exit arrivals and group release
+4. monitor rendezvous work: session requests, IRQ latch delivery (latency 0
+   included), entry arrivals and admission, exit arrivals and group release
 5. bus commit: system RAM (serialized by ascending block id), then the voted
    safe bus (compare, select, forward, broadcast the completion).  Each
    member's vote input is the transaction it put on the bus, exit reads
@@ -29,6 +29,8 @@ releasing -> SafeProcessingMode.
 Requests run before entry, so a session can be requested and admitted in one
 phase 4 (sync reads on IRQs latched earlier); it is entered through
 Synchronizing.
+Timed inputs are fixed when the world is built: triggers and IRQ deliveries
+are schedules that the phases consume, and no phase reads the scenario.
 Every change is checked against ``trace.ALLOWED_SYSTEM_ARCS``; an arc outside
 it is a simulator bug.  SafeState is absorbing and ends the simulation; only
 the terminal marker event may follow.
@@ -42,6 +44,7 @@ import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__ as VERSION
@@ -49,7 +52,7 @@ from .block import BlockState, ProcessingBlock, TriggerSource
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
-from .scenario import Scenario, ValidationError, check_seed, scenario_digest, validate_scenario
+from .scenario import Scenario, check_int, check_seed, scenario_digest, validate_scenario
 from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
 
@@ -81,26 +84,28 @@ class World:
         validate_scenario(scenario)
         self.scenario = scenario
         self.effective_seed = scenario.seed if seed is None else check_seed(seed, "seed override")
-        self.rng = random.Random(self.effective_seed)
+        rng = random.Random(self.effective_seed)
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
         self.monitor = LockstepMonitor(
-            scenario.moon, self.rng if scenario.flags.random_selection else None
+            scenario.moon, rng if scenario.flags.random_selection else None
         )
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
             for i in range(scenario.n_blocks)
         ]
-        self.fault_engine = FaultEngine(list(scenario.faults))
+        self.fault_engine = FaultEngine(scenario.faults, scenario.noise_flip_probability, rng)
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
         self.trace_enabled = trace_enabled
         self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
         self.held_tx: Dict[int, BusTransaction] = {}
+        # latest first, so the due ones pop off the end in declaration order
+        self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
+        self.irq_latency = scenario.irq_latency or [0] * scenario.n_blocks
         self.pending_irq: Dict[int, List[int]] = {}  # deliver_cycle -> block ids
-        self.request_queue: List[Tuple[object, TriggerSource]] = []
         # what no session record holds; the rest of the report reads the monitor
         self.counters = {"rejected": 0, "masked_fault_cycles": 0}
         self.end_reason = "max_cycles"
@@ -140,15 +145,17 @@ class World:
         # phase 1: scheduled fault activation, then seeded soak noise
         faults = self.fault_engine
         faults.on_cycle_start(c, self.blocks)
-        faults.stochastic_flips(c, self.blocks, self.rng, self.scenario.noise_flip_probability)
+        faults.stochastic_flips(c, self.blocks)
         if faults.pending_events:
             self._emit_faults(1)
 
         # phase 2: scheduled external triggers
-        for trig in self.scenario.triggers:
-            if trig.cycle == c:
-                self.emit(2, "system", "trigger", {"source": trig.source.value})
-                self.request_queue.append(("external", trig.source))
+        requests: List[Tuple[object, TriggerSource]] = []
+        triggers = self.triggers
+        while triggers and triggers[-1].cycle <= c:
+            source = triggers.pop().source
+            self.emit(2, "system", "trigger", {"source": source.value})
+            requests.append(("external", source))
 
         # phase 3: block ticks
         sync_arrivals: List[int] = []
@@ -165,7 +172,7 @@ class World:
                     self.emit(3, b.block_id, "halt", {})
             if out.trigger is not None:
                 self.emit(3, b.block_id, "trigger", {"source": out.trigger.value})
-                self.request_queue.append((b.block_id, out.trigger))
+                requests.append((b.block_id, out.trigger))
             if out.tx is None:
                 continue
             tx = faults.filter_tx(b.block_id, out.tx)
@@ -185,8 +192,9 @@ class World:
                     exit_arrivals.append(b.block_id)
 
         # phase 4: monitor rendezvous work
-        self._phase_irq_delivery(c)
-        self._phase_requests(c)
+        self._phase_requests(c, requests)
+        for b_id in self.pending_irq.pop(c, ()):
+            self.blocks[b_id].raise_irq()
         gathering = self.monitor.sync_state is SyncState.GATHERING
         self._phase_entry(c, sync_arrivals)
         self._phase_exit(c, exit_arrivals)
@@ -195,13 +203,10 @@ class World:
         self._phase_commit(c, system_queue)
 
         # phase 6: observer
-        reason = self.monitor.observe(c)
-        if reason is not None:
-            detail = {"reason": reason}
-            if reason == "gather_timeout":
-                detail["budget"] = self.scenario.moon.t_gather
-            elif reason == "exec_timeout":
-                detail["budget"] = self.scenario.moon.t_exec
+        error = self.monitor.observe(c)
+        if error is not None:
+            reason, budget = error
+            detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
             self.emit(6, "monitor", "availability_error", detail)
 
         # phase 7: the system state follows the monitor's
@@ -220,31 +225,16 @@ class World:
         for target, detail in self.fault_engine.drain_events():
             self.emit(phase, target, "fault_applied", detail)
 
-    def _phase_irq_delivery(self, c: int) -> None:
-        for b_id in self.pending_irq.pop(c, ()):
-            self.blocks[b_id].raise_irq()
-
-    def _phase_requests(self, c: int) -> None:
-        for origin, source in self.request_queue:
+    def _phase_requests(self, c: int, requests: List[Tuple[object, TriggerSource]]) -> None:
+        for origin, source in requests:
             if self.monitor.request_sp(c):
                 self.emit(4, "monitor", "state_change", {"from": "idle", "to": "gathering"})
-                self.emit(
-                    4, "monitor", "irq_assert", {"origin": origin, "source": source.value}
-                )
-                for b in self.blocks:
-                    latency = self.scenario.latency(b.block_id)
-                    if latency == 0:
-                        b.raise_irq()
-                    else:
-                        self.pending_irq.setdefault(c + latency, []).append(b.block_id)
+                self.emit(4, "monitor", "irq_assert", {"origin": origin, "source": source.value})
+                for b_id, latency in enumerate(self.irq_latency):
+                    self.pending_irq.setdefault(c + latency, []).append(b_id)
             else:
-                self.emit(
-                    4,
-                    "monitor",
-                    "trigger",
-                    {"origin": origin, "source": source.value, "ignored": "session_active"},
-                )
-        self.request_queue = []
+                detail = {"origin": origin, "source": source.value, "ignored": "session_active"}
+                self.emit(4, "monitor", "trigger", detail)
 
     def _phase_entry(self, c: int, sync_arrivals: List[int]) -> None:
         answer = self.monitor.finalize_rendezvous(sync_arrivals, c)
@@ -336,14 +326,15 @@ class World:
         return (
             all(b.state is BlockState.HALTED for b in self.blocks)
             and self.monitor.sync_state is SyncState.IDLE
-            and all(t.cycle <= self.cycle for t in self.scenario.triggers)
+            and not self.triggers
         )
 
     def run(self, max_cycles: Optional[int] = None) -> None:
-        limit = self.scenario.max_cycles if max_cycles is None else max_cycles
-        if limit < 0:
-            raise ValidationError("max_cycles override", "must be >= 0")
-        while self.system_state is not SystemState.SAFE_STATE and self.cycle < limit:
+        if max_cycles is None:
+            max_cycles = self.scenario.max_cycles
+        else:
+            check_int(max_cycles, "max_cycles override", minimum=0)
+        while self.system_state is not SystemState.SAFE_STATE and self.cycle < max_cycles:
             self.step()
             if self.quiescent():
                 self.end_reason = "all_halted"

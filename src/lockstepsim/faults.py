@@ -65,9 +65,12 @@ class FaultEngine:
     activation, and outgoing-transaction filtering.
 
     Each scheduled fault sits in one schedule until it activates and leaves
-    it then, so every fault fires once."""
+    it then, so every fault fires once.  Soak noise, when ``flip_probability``
+    is above zero, draws from ``rng``."""
 
-    def __init__(self, specs: List[FaultSpec]):
+    def __init__(self, specs: List[FaultSpec], flip_probability: float = 0.0, rng=None):
+        self.flip_probability = flip_probability
+        self.rng: Optional[random.Random] = rng
         # cycle-windowed faults as (at_cycle, target, declaration index, spec),
         # latest first so that the due ones pop off the end
         self._by_cycle: List[Tuple[int, int, int, FaultSpec]] = []
@@ -167,16 +170,11 @@ class FaultEngine:
         events.sort(key=itemgetter(0))
         return events
 
-    def stochastic_flips(
-        self,
-        cycle: int,
-        blocks: List[ProcessingBlock],
-        rng: random.Random,
-        probability: float,
-    ) -> None:
-        """Seeded soak mode: each live block has the given per-cycle chance
-        of a single random data-bit upset on its next data transaction.  At
-        most one stochastic flip is pending per block at a time."""
+    def stochastic_flips(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
+        """Seeded soak mode: each live block has a ``flip_probability`` chance
+        per cycle of a single random data-bit upset on its next data
+        transaction.  At most one stochastic flip is pending per block at a time."""
+        rng, probability = self.rng, self.flip_probability
         if probability <= 0.0:
             return
         for block in blocks:
@@ -187,12 +185,7 @@ class FaultEngine:
             if self._armed_flips.get(block.block_id):
                 continue
             bit = rng.randrange(32)
-            spec = FaultSpec(
-                target=block.block_id,
-                kind=FaultKind.BIT_FLIP_DATA,
-                at_cycle=cycle,
-                bit=bit,
-            )
+            spec = FaultSpec(block.block_id, FaultKind.BIT_FLIP_DATA, at_cycle=cycle, bit=bit)
             self._armed_flips.setdefault(block.block_id, []).append(spec)
             self.pending_events.append(
                 (block.block_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})

@@ -240,24 +240,24 @@ class LockstepMonitor:
 
     # -- observer -------------------------------------------------------------
 
-    def observe(self, cycle: int) -> Optional[str]:
-        """Availability check for this cycle; returns the error reason and
-        freezes the monitor when one fires.  A frozen monitor ends the run,
-        so nothing calls the monitor after that."""
-        reason = self._bus_fault
+    def observe(self, cycle: int) -> Optional[Tuple[str, Optional[int]]]:
+        """Availability check for this cycle; returns ``(reason, lapsed budget
+        or None)`` and freezes the monitor when an error fires.  A frozen
+        monitor ends the run, so nothing calls the monitor after that."""
+        reason, budget = self._bus_fault, None
         if reason is None:
             if (
                 self.sync_state is SyncState.GATHERING
                 and cycle > self.sessions[-1].gather_cycle + self.config.t_gather
             ):
-                reason = "gather_timeout"
+                reason, budget = "gather_timeout", self.config.t_gather
             elif (
                 self.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING)
                 and cycle > self.sessions[-1].lockstep_cycle + self.config.t_exec
             ):
-                reason = "exec_timeout"
+                reason, budget = "exec_timeout", self.config.t_exec
             else:
                 return None
         self.frozen = True
         self.sessions[-1].outcome = reason
-        return reason
+        return reason, budget

@@ -115,11 +115,6 @@ class Scenario:
     # seeded soak mode: per-block per-cycle chance of a random data-bit upset
     noise_flip_probability: float = 0.0
 
-    def latency(self, block_id: int) -> int:
-        if self.irq_latency is None:
-            return 0
-        return self.irq_latency[block_id]
-
 
 # -- instruction text ----------------------------------------------------------
 
@@ -192,16 +187,22 @@ def _require(mapping: Dict, key: str, path: str):
     return mapping[key]
 
 
-def _int_field(mapping: Dict, key: str, path: str) -> int:
-    value = _require(mapping, key, path)
+def check_int(value, where: str, minimum: Optional[int] = None) -> int:
+    """``value`` if it is an integer (a bool is not one) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{path}{key}", f"expected integer, got {value!r}")
+        raise ValidationError(where, f"expected integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(where, f"must be >= {minimum}")
     return value
 
 
-def check_seed(seed: int, where: str) -> int:
-    """``seed`` if in range; ``random.Random`` would seed ``-s`` as ``s``."""
-    if not (0 <= seed < 2**64):
+def _int_field(mapping: Dict, key: str, path: str) -> int:
+    return check_int(_require(mapping, key, path), f"{path}{key}")
+
+
+def check_seed(seed, where: str) -> int:
+    """``seed`` if an integer in range; ``random.Random`` would seed ``-s`` as ``s``."""
+    if not (0 <= check_int(seed, where) < 2**64):
         raise ValidationError(where, "must be in 0..2**64-1")
     return seed
 
@@ -293,7 +294,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
     name = _require(doc, "name", "")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "must be a non-empty string")
-    seed = check_seed(_int_field(doc, "seed", ""), "seed")
+    seed = check_seed(_require(doc, "seed", ""), "seed")
     n_blocks = _int_field(doc, "n_blocks", "")
 
     moon_doc = _mapping(_require(doc, "moon", ""), "moon", _MOON_FIELDS)

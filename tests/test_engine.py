@@ -214,6 +214,36 @@ def test_external_trigger_opens_a_session():
     assert report.sessions[0]["gather_cycle"] == 3
 
 
+def test_same_cycle_triggers_are_requested_in_declaration_order():
+    """Triggers due in one cycle are requested in declaration order, whatever
+    was declared before them: the first opens the session and the second is
+    ignored.  The one request latches each block's IRQ after its latency."""
+    scenario = group_scenario(
+        n_blocks=3,
+        n=2,
+        m=2,
+        irq_latency=[0, 2, 0],
+        triggers=[
+            ExternalTrigger(9, TriggerSource.EXTERNAL_IN_SCOPE),
+            ExternalTrigger(3, TriggerSource.EXTERNAL_OUT_OF_SCOPE),
+            ExternalTrigger(3, TriggerSource.EXTERNAL_IN_SCOPE),
+        ],
+    )
+    report = run(scenario)
+    requested = [(e.cycle, e.detail["source"]) for e in report.trace if e.phase == 2]
+    assert requested == [
+        (3, "external_out_of_scope"),
+        (3, "external_in_scope"),
+        (9, "external_in_scope"),
+    ]
+    asserted = [e for e in report.trace if e.kind == "irq_assert"]
+    assert [(e.cycle, e.detail["source"]) for e in asserted] == [(3, "external_out_of_scope")]
+    ignored = [(e.cycle, e.detail["source"]) for e in report.trace if "ignored" in e.detail]
+    assert ignored == [(3, "external_in_scope"), (9, "external_in_scope")]
+    sync_reads = {e.entity: e.cycle for e in report.trace if e.kind == "sync_read"}
+    assert sync_reads == {0: 4, 1: 6, 2: 4}
+
+
 @pytest.mark.parametrize("offset", range(13))
 def test_double_request_interleavings_never_deadlock(offset):
     """Two requesters firing at every relative offset: each request either

@@ -251,20 +251,19 @@ def test_divergent_at_cycle_defers_to_next_fetch():
 
 
 def test_stochastic_flips_off_by_default():
-    eng = FaultEngine([])
+    eng = FaultEngine([], 0.0, random.Random(0))
     blocks = make_blocks()
-    eng.stochastic_flips(1, blocks, random.Random(0), 0.0)
+    eng.stochastic_flips(1, blocks)
     assert eng.drain_events() == []
 
 
 def test_stochastic_flips_deterministic_per_seed():
     def roll(seed):
-        eng = FaultEngine([])
+        eng = FaultEngine([], 0.3, random.Random(seed))
         blocks = make_blocks(4)
         out = []
-        rng = random.Random(seed)
         for c in range(1, 20):
-            eng.stochastic_flips(c, blocks, rng, 0.3)
+            eng.stochastic_flips(c, blocks)
             for b in blocks:
                 eng.filter_tx(b.block_id, data_tx())
             out.extend(eng.drain_events())
@@ -275,11 +274,10 @@ def test_stochastic_flips_deterministic_per_seed():
 
 
 def test_stochastic_flip_arms_at_most_one_per_block():
-    eng = FaultEngine([])
+    eng = FaultEngine([], 1.0, random.Random(1))  # always trying
     blocks = make_blocks(1)
-    rng = random.Random(1)
     for c in range(1, 50):
-        eng.stochastic_flips(c, blocks, rng, 1.0)  # always trying
+        eng.stochastic_flips(c, blocks)
         assert len(eng._armed_flips[0]) == 1  # still only one pending
     assert len(eng.drain_events()) == 1  # armed once
     eng.filter_tx(0, data_tx(0))
@@ -287,10 +285,10 @@ def test_stochastic_flip_arms_at_most_one_per_block():
 
 
 def test_stochastic_flips_skip_halted_blocks():
-    eng = FaultEngine([])
+    eng = FaultEngine([], 1.0, random.Random(0))
     blocks = make_blocks(2)
     blocks[0].state = blocks[0].state.HALTED
-    eng.stochastic_flips(1, blocks, random.Random(0), 1.0)
+    eng.stochastic_flips(1, blocks)
     assert [target for target, _ in eng.drain_events()] == [1]
 
 
@@ -301,11 +299,13 @@ def test_drain_orders_one_cycle_start_by_block():
         [
             FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_cycle=1),
             FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=1, delay=2),
-        ]
+        ],
+        1.0,
+        random.Random(0),
     )
     blocks = make_blocks(3)
     eng.on_cycle_start(1, blocks)
-    eng.stochastic_flips(1, blocks, random.Random(0), 1.0)
+    eng.stochastic_flips(1, blocks)
     assert [(target, d["window"]) for target, d in eng.drain_events()] == [
         (0, "cycle"),
         (0, "stochastic"),

@@ -3,7 +3,7 @@
 The scenario fields come from the dataclasses the loader reads them from, so
 a field added there is probed here without a new case.  A scenario load must
 succeed or raise ``ScenarioError``; a sweep spec must be rejected with a
-``ValidationError`` that names the key."""
+``ValidationError`` that names the key, and so must a wrong ``run()`` override."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from lockstepsim import ExternalTrigger, FaultSpec, Flags, MoonConfig
+from lockstepsim import ExternalTrigger, FaultSpec, Flags, MoonConfig, run
 from lockstepsim.cli import EXIT_SCENARIO_ERROR, main
 from lockstepsim.scenario import (
     _SCENARIO_KEYS,
@@ -125,3 +125,28 @@ def test_wrong_sweep_values_exit_three(tmp_path, capsys, key, value):
     spec.write_text(substituted(base, (key,), value))
     assert main(["sweep", str(spec)]) == EXIT_SCENARIO_ERROR
     assert f"scenario error: {key}: " in capsys.readouterr().err
+
+
+def short_repr(value) -> str:
+    return f"{value!r:.20}"
+
+
+# None keeps the scenario's value; run() takes only an integer in range instead
+@pytest.mark.parametrize("value", [v for v in WRONG_VALUES if v is not None], ids=short_repr)
+def test_a_wrong_seed_override_is_rejected(value):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    with pytest.raises(ValidationError) as exc:
+        run(scenario, seed=value)
+    assert exc.value.field_path == "seed override"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [v for v in WRONG_VALUES if v is not None and not (type(v) is int and v >= 0)],
+    ids=short_repr,
+)
+def test_a_wrong_max_cycles_override_is_rejected(value):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    with pytest.raises(ValidationError) as exc:
+        run(scenario, max_cycles=value)
+    assert exc.value.field_path == "max_cycles override"

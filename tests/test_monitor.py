@@ -278,7 +278,7 @@ def test_vote_records_no_majority_cycle_for_observer():
     mon = locked_monitor()
     result = mon.vote([(0, wtx(1)), (1, wtx(2)), (2, wtx(3))])
     assert result.no_majority
-    assert mon.observe(9) == "no_majority"
+    assert mon.observe(9) == ("no_majority", None)
     assert mon.frozen
     assert mon.sessions[-1].outcome == "no_majority"
 
@@ -287,7 +287,7 @@ def test_reported_bus_fault_is_raised_on_its_cycle_only():
     mon = locked_monitor()
     assert mon.observe(8) is None
     mon.report_bus_fault("unmapped_address")
-    assert mon.observe(9) == "unmapped_address"  # the observer of the reporting cycle
+    assert mon.observe(9) == ("unmapped_address", None)  # the observer of the reporting cycle
     assert mon.frozen
     assert mon.sessions[-1].outcome == "unmapped_address"
 
@@ -300,7 +300,7 @@ def test_gather_timeout_fires_one_cycle_past_budget():
     mon.request_sp(10)
     for c in range(11, 15):
         assert mon.observe(c) is None
-    assert mon.observe(15) == "gather_timeout"  # 10 + 4 + 1
+    assert mon.observe(15) == ("gather_timeout", 4)  # 10 + 4 + 1
     assert mon.frozen
     assert mon.sessions[-1].outcome == "gather_timeout"
 
@@ -313,7 +313,7 @@ def test_exec_timeout_covers_lockstep_and_releasing():
     assert mon.sync_state is SyncState.RELEASING
     for c in range(3, 8):
         assert mon.observe(c) is None
-    assert mon.observe(8) == "exec_timeout"  # 2 + 5 + 1, budget not restarted
+    assert mon.observe(8) == ("exec_timeout", 5)  # 2 + 5 + 1, budget not restarted
     assert mon.sessions[-1].outcome == "exec_timeout"
 
 

@@ -184,6 +184,19 @@ def test_minimal_scenario_loads():
         (variant(programs=[["compute 1", "halt"]]), "programs"),  # one per block
         (variant(programs="oops"), "programs"),
         (variant(programs=[["compute 0", "halt"], ["halt"]]), "programs[0][0]"),
+        (
+            variant(programs=[["trigger_sp app_timed extra"], ["halt"]]),
+            "programs[0][0]: trigger_sp takes one source",
+        ),
+        (
+            variant(programs=[["write 0x40 0x100000000"], ["halt"]]),
+            "programs[0][0]: data must fit in 32 bits",
+        ),
+        (variant(safe_program=["compute 0"]), "safe_program[0]: compute duration must be >= 1"),
+        (
+            variant(safe_program=["write 0x10000 0x100000000"]),
+            "safe_program[0]: data must fit in 32 bits",
+        ),
         (variant(safe_program=["halt"]), "safe_program[0]"),
         (variant(safe_program=["trigger_sp app_timed"]), "safe_program[0]"),
         (variant(flags={"unknown": True}), "flags.unknown"),
@@ -287,6 +300,7 @@ def fault_variant(fault):
         ({"target": 0, "kind": "bit_flip_data", "at_cycle": 1, "bit": "x"}, "faults[0].bit"),
         ({"target": 0, "kind": "bit_flip_data", "at_cycle": 1, "bit": True}, "faults[0].bit"),
         ({"target": 0, "kind": "no_show", "at_cycle": "1"}, "faults[0].at_cycle"),
+        ({"target": 0, "kind": "no_show", "at_cycle": -1}, "faults[0].at_cycle: must be >= 0"),
         ({"target": 0, "kind": "start_jitter", "at_cycle": 1, "delay": 2.5}, "faults[0].delay"),
         (
             {"target": 0, "kind": "bit_flip_data", "at_safe_instr": 0.5, "bit": 1},

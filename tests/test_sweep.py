@@ -21,9 +21,11 @@ from lockstepsim.sweep import (
     build_masking_scenario,
     build_rendezvous_scenario,
     check_arrival_point,
+    check_masking_point,
     expected_admission,
     fault_sweep,
     load_sweep_file,
+    masking_reference,
     placement_catalog,
     sweep_from_dict,
 )
@@ -64,6 +66,79 @@ def test_checker_spots_a_wrong_expectation():
     report = run(scenario)
     complaint = check_arrival_point(report, (0, 0, 0), 2)
     assert complaint != ""
+
+
+def events(report, kind):
+    return [e for e in report.trace if e.kind == kind]
+
+
+def duplicate_gathering(report):
+    report.trace.append(next(e for e in report.trace if e.detail.get("to") == "gathering"))
+
+
+def drop_rejects(report):
+    report.trace = [e for e in report.trace if e.kind != "reject"]
+
+
+def delay_first_accept(report):
+    events(report, "accept")[0].cycle += 1
+
+
+def delay_every_accept(report):
+    for e in events(report, "accept"):
+        e.cycle += 1
+
+
+def drop_release(report):
+    report.trace = [e for e in report.trace if e.kind != "release"]
+
+
+def release_one_member(report):
+    events(report, "release")[0].detail["blocks"] = [1]
+
+
+def end_in_safe_state(report):
+    report.final_state = "safe_state"
+
+
+# latencies (2, 0, 1) with n_required 2: gathering at cycle 2, blocks 1 and 2
+# admitted at cycle 4, block 0 rejected, the group released at cycle 7
+DOCTORED_ARRIVALS = [
+    (duplicate_gathering, "expected one gathering entry, saw 2"),
+    (drop_rejects, "rejected [], expected [0]"),
+    (delay_first_accept, "acceptance not simultaneous: cycles [4, 5]"),
+    (delay_every_accept, "entry at [5], expected 4"),
+    (drop_release, "expected one release, saw 0"),
+    (release_one_member, "released [1], expected [1, 2]"),
+    (end_in_safe_state, "ended in safe_state"),
+]
+
+
+@pytest.mark.parametrize(
+    "doctor,complaint", DOCTORED_ARRIVALS, ids=[d.__name__ for d, _ in DOCTORED_ARRIVALS]
+)
+def test_arrival_checker_names_each_departure_from_the_rule(doctor, complaint):
+    latencies = (2, 0, 1)
+    report = run(build_rendezvous_scenario(3, 2, 2, latencies))
+    assert check_arrival_point(report, latencies, 2) == ""
+    doctor(report)
+    assert check_arrival_point(report, latencies, 2) == complaint
+
+
+@pytest.mark.parametrize(
+    "field,value,complaint",
+    [
+        ("ls_ram", {}, "voted RAM differs from reference"),
+        ("io_log", [], "I/O log differs from reference"),
+    ],
+    ids=["ls_ram", "io_log"],
+)
+def test_masking_checker_names_the_differing_memory(field, value, complaint):
+    reference = masking_reference(4, 3, 2)
+    report = run(build_masking_scenario(4, 3, 2, faults=()), trace_enabled=False)
+    assert check_masking_point(report, reference) == ""
+    setattr(report, field, value)
+    assert check_masking_point(report, reference) == complaint
 
 
 # -- arrival sweep -------------------------------------------------------------------
