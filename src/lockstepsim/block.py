@@ -217,6 +217,17 @@ class ProcessingBlock:
 
         return self._execute(out)
 
+    def retire_compute(self) -> int:
+        """Finish the ``Compute`` in progress at once and return the ticks it
+        had left, 0 outside a compute.  Those ticks would change nothing that
+        anyone outside the block reads, so the caller need not tick the block
+        again until they are over."""
+        left = self._compute_left
+        if left:
+            self._compute_left = 0
+            self.pc += 1
+        return left
+
     def _execute(self, out: TickOutput) -> TickOutput:
         if self.state is BlockState.SAFE_PROCESSING:
             instr = self._fetch_safe()

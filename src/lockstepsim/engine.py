@@ -5,9 +5,12 @@ executes seven phases in a fixed order:
 
 1. scheduled fault activation
 2. scheduled external triggers
-3. block ticks, ascending block id (transactions collected, not yet served;
-   the state a tick ends in names its transaction: a sync read, an exit
-   read, voted data or a system-bus access)
+3. block ticks, ascending block id, of the blocks that have work
+   (transactions collected, not yet served; the state a tick ends in names
+   its transaction: a sync read, an exit read, voted data or a system-bus
+   access).  A block inside a ``Compute`` is not ticked until it ends: until
+   then it issues nothing and changes no state anyone reads, and what it
+   latches meanwhile (an IRQ, a fault knob) it reads at that boundary.
 4. monitor rendezvous work: session requests, IRQ latch delivery (latency 0
    included), entry arrivals and admission, exit arrivals and group release
 5. bus commit: system RAM (serialized by ascending block id), then the voted
@@ -20,6 +23,11 @@ executes seven phases in a fixed order:
 
 Responses produced in phases 4-5 of cycle t reach the issuing block at its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
+
+A phase with no input this cycle is skipped: no due fault, no noise, no
+request, no arrival, no bus traffic, an idle monitor to observe or a monitor
+state that did not move.  A quiet cycle therefore costs little, but ``step()``
+still advances exactly one cycle.
 
 The world boots when it is built: Boot, then NormalProcessing (or SafeState
 on a failed boot check).  From then on phase 7 reads the system state off the
@@ -75,6 +83,7 @@ _SYSTEM_STATE_OF = {
     SyncState.LOCKSTEP: SystemState.SAFE_PROCESSING_MODE,
     SyncState.RELEASING: SystemState.SAFE_PROCESSING_MODE,
 }
+_VOTED_BUS_STATES = (SyncState.LOCKSTEP, SyncState.RELEASING)
 
 
 class World:
@@ -102,6 +111,8 @@ class World:
         self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
         self.held_tx: Dict[int, BusTransaction] = {}
+        # the first cycle each block ticks again: a block sleeps through its computes
+        self.wake = [0] * scenario.n_blocks
         # latest first, so the due ones pop off the end in declaration order
         self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
         self.irq_latency = scenario.irq_latency or [0] * scenario.n_blocks
@@ -141,11 +152,15 @@ class World:
             raise SimInternalError("step after safe state")
         self.cycle += 1
         c = self.cycle
+        monitor = self.monitor
 
         # phase 1: scheduled fault activation, then seeded soak noise
         faults = self.fault_engine
-        faults.on_cycle_start(c, self.blocks)
-        faults.stochastic_flips(c, self.blocks)
+        due = faults.next_cycle
+        if due is not None and due <= c:
+            faults.on_cycle_start(c, self.blocks)
+        if faults.flip_probability > 0:
+            faults.stochastic_flips(c, self.blocks)
         if faults.pending_events:
             self._emit_faults(1)
 
@@ -157,13 +172,19 @@ class World:
             self.emit(2, "system", "trigger", {"source": source.value})
             requests.append(("external", source))
 
-        # phase 3: block ticks
+        # phase 3: ticks of the blocks that are awake
         sync_arrivals: List[int] = []
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
+        wake = self.wake
         for b in self.blocks:
+            if wake[b.block_id] > c:
+                continue  # inside a Compute: nothing to do until it ends
             response = self.mailbox.pop(b.block_id, None)
             out = b.tick(response)
+            left = b.retire_compute()
+            if left:
+                wake[b.block_id] = c + left + 1
             if faults.pending_events:
                 self._emit_faults(3)
             for old, new in out.state_changes:
@@ -192,32 +213,42 @@ class World:
                     exit_arrivals.append(b.block_id)
 
         # phase 4: monitor rendezvous work
-        self._phase_requests(c, requests)
-        for b_id in self.pending_irq.pop(c, ()):
-            self.blocks[b_id].raise_irq()
-        gathering = self.monitor.sync_state is SyncState.GATHERING
-        self._phase_entry(c, sync_arrivals)
-        self._phase_exit(c, exit_arrivals)
+        before = monitor.sync_state
+        if requests:
+            self._phase_requests(c, requests)
+        if self.pending_irq:
+            for b_id in self.pending_irq.pop(c, ()):
+                self.blocks[b_id].raise_irq()
+        gathering = monitor.sync_state is SyncState.GATHERING
+        if sync_arrivals:
+            self._phase_entry(c, sync_arrivals)
+        if exit_arrivals:
+            self._phase_exit(c, exit_arrivals)
 
         # phase 5: bus commit
-        self._phase_commit(c, system_queue)
+        if system_queue:
+            self._commit_system_bus(c, system_queue)
+        if monitor.sync_state in _VOTED_BUS_STATES:
+            self._commit_voted_bus()
 
-        # phase 6: observer
-        error = self.monitor.observe(c)
-        if error is not None:
-            reason, budget = error
-            detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
-            self.emit(6, "monitor", "availability_error", detail)
+        # phase 6: observer; every budget and bus fault arises outside idle
+        if monitor.sync_state is not SyncState.IDLE:
+            error = monitor.observe(c)
+            if error is not None:
+                reason, budget = error
+                detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
+                self.emit(6, "monitor", "availability_error", detail)
 
-        # phase 7: the system state follows the monitor's
-        if gathering and self.system_state is SystemState.NORMAL_PROCESSING:
-            self._set_system_state(SystemState.SYNCHRONIZING)
-        if self.monitor.frozen:
-            new = SystemState.SAFE_STATE
-        else:
-            new = _SYSTEM_STATE_OF[self.monitor.sync_state]
-        if new is not self.system_state:
-            self._set_system_state(new)
+        # phase 7: the system state follows the monitor's, which only phases 4 and 6 move
+        if monitor.sync_state is not before or monitor.frozen:
+            if gathering and self.system_state is SystemState.NORMAL_PROCESSING:
+                self._set_system_state(SystemState.SYNCHRONIZING)
+            if monitor.frozen:
+                new = SystemState.SAFE_STATE
+            else:
+                new = _SYSTEM_STATE_OF[monitor.sync_state]
+            if new is not self.system_state:
+                self._set_system_state(new)
 
     # -- phase helpers ------------------------------------------------------
 
@@ -253,7 +284,7 @@ class World:
             self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
 
     def _phase_exit(self, c: int, exit_arrivals: List[int]) -> None:
-        if exit_arrivals and self.monitor.sync_state is SyncState.LOCKSTEP:
+        if self.monitor.sync_state is SyncState.LOCKSTEP:
             self.emit(4, "monitor", "state_change", {"from": "lockstep", "to": "releasing"})
         released = self.monitor.finalize_release(exit_arrivals, c)
         if released is None:
@@ -264,7 +295,7 @@ class World:
         self.emit(4, "monitor", "state_change", {"from": "releasing", "to": "idle"})
         self.held_tx.clear()
 
-    def _phase_commit(self, c: int, system_queue: List[Tuple[int, BusTransaction]]) -> None:
+    def _commit_system_bus(self, c: int, system_queue: List[Tuple[int, BusTransaction]]) -> None:
         for b_id, tx in system_queue:
             try:
                 response = self.memory.issue(tx, voted=False)
@@ -274,8 +305,7 @@ class World:
                 ) from None
             self.mailbox[b_id] = response
 
-        if self.monitor.sync_state not in (SyncState.LOCKSTEP, SyncState.RELEASING):
-            return
+    def _commit_voted_bus(self) -> None:
         members = self.monitor.sessions[-1].accepted
         port_inputs = [(b_id, self.held_tx.get(b_id)) for b_id in members]
         if all(tx is None for _, tx in port_inputs):
@@ -324,9 +354,9 @@ class World:
         flight, no scheduled trigger still to come (a request raised against
         halted blocks must still run into its gathering timeout)."""
         return (
-            all(b.state is BlockState.HALTED for b in self.blocks)
+            not self.triggers
             and self.monitor.sync_state is SyncState.IDLE
-            and not self.triggers
+            and all(b.state is BlockState.HALTED for b in self.blocks)
         )
 
     def run(self, max_cycles: Optional[int] = None) -> None:

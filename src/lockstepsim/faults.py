@@ -111,6 +111,11 @@ class FaultEngine:
             detail["bit"] = spec.bit
         self.pending_events.append((block.block_id, detail))
 
+    @property
+    def next_cycle(self) -> Optional[int]:
+        """The cycle of the next cycle-windowed activation, None when none is left."""
+        return self._by_cycle[-1][0] if self._by_cycle else None
+
     def on_cycle_start(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
         """Activate every cycle-windowed fault whose time has come, in
         (target, declaration) order."""

@@ -427,10 +427,9 @@ def _check_safe_instruction(instr: Instruction, where: str):
 
 def validate_scenario(s: Scenario) -> None:
     """Structural validation shared by the loader and by boot."""
-    if s.n_blocks < 1:
-        raise ValidationError("n_blocks", "must be >= 1")
-    if s.max_cycles < 1:
-        raise ValidationError("max_cycles", "must be >= 1")
+    check_seed(s.seed, "seed")
+    check_int(s.n_blocks, "n_blocks", minimum=1)
+    check_int(s.max_cycles, "max_cycles", minimum=1)
     if s.boot_check not in ("pass", "fail"):
         raise ValidationError("boot_check", "must be 'pass' or 'fail'")
     try:

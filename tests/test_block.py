@@ -61,6 +61,19 @@ def test_back_to_back_computes():
     assert block.state is BlockState.HALTED
 
 
+@pytest.mark.parametrize("duration,ticked", [(1, 1), (2, 1), (7, 1), (7, 4), (7, 7)])
+def test_retire_compute_lands_where_ticking_it_out_does(duration, ticked):
+    program = [Compute(duration), Write(0x100, 1), Halt()]
+    ticking, retiring = make_block(program), make_block(program)
+    drain(ticking, duration)
+    drain(retiring, ticked)
+    assert retiring.retire_compute() == duration - ticked
+    assert retiring.pc == ticking.pc == 1
+    assert retiring.retire_compute() == 0  # outside a compute: nothing to retire
+    assert retiring.pc == 1
+    assert retiring.tick().tx == ticking.tick().tx == BusTransaction(TxKind.WRITE, 0x100, 1)
+
+
 def test_bus_op_issue_then_one_cycle_stall():
     block = make_block([Write(0x100, 1), Write(0x101, 2), Halt()])
     out1 = block.tick()

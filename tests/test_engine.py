@@ -21,6 +21,7 @@ from lockstepsim import (
     Compute,
     Halt,
     MoonConfig,
+    ProcessingBlock,
     Read,
     Scenario,
     SimInternalError,
@@ -437,6 +438,80 @@ def test_request_against_halted_blocks_times_out():
     assert len(errors) == 1
     assert errors[0].detail["reason"] == "gather_timeout"
     assert errors[0].cycle == 5 + scenario.moon.t_gather + 1
+
+
+# -- blocks asleep inside a compute ------------------------------------------------
+# The engine does not tick a block inside a Compute until the compute ends.
+# With ``retire_compute`` patched to retire nothing, every block counts its
+# compute down tick by tick instead; the cycles below hold either way.
+
+
+@pytest.fixture(params=["asleep", "ticked"])
+def compute_mode(request, monkeypatch):
+    if request.param == "ticked":
+        monkeypatch.setattr(ProcessingBlock, "retire_compute", lambda self: 0)
+    return request.param
+
+
+def sleeper_scenario(faults=()):
+    """Three blocks in one Compute(50) from cycle 2 to cycle 51; an external
+    trigger at cycle 10 latches every IRQ in the middle of it."""
+    scenario = group_scenario(
+        n_blocks=3,
+        n=2,
+        m=2,
+        triggers=[ExternalTrigger(10, TriggerSource.EXTERNAL_IN_SCOPE)],
+        max_cycles=120,
+    )
+    scenario.programs = [[Compute(1), Compute(50)] + [Compute(1)] * 30 + [Halt()] for _ in range(3)]
+    scenario.moon = MoonConfig(n_required=2, m_agree=2, t_gather=60, t_exec=20)
+    scenario.faults = list(faults)
+    return scenario
+
+
+def sync_read_cycles(trace):
+    return {e.entity: e.cycle for e in trace if e.kind == "sync_read"}
+
+
+def test_irq_latched_inside_a_compute_is_read_after_its_last_tick(compute_mode):
+    report = run(sleeper_scenario())
+    assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
+    assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
+    audit_event_order(report.trace)
+
+
+def test_faults_activated_inside_a_compute_act_at_its_boundary(compute_mode):
+    """A no-show before the trigger keeps block 1 out; a start jitter after
+    the latch delays block 2's sync read by its delay from the boundary."""
+    report = run(
+        sleeper_scenario(
+            faults=[
+                FaultSpec(target=1, kind=FaultKind.NO_SHOW, at_cycle=5),
+                FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=20, delay=3),
+            ]
+        )
+    )
+    applied = [(e.cycle, e.entity) for e in report.trace if e.kind == "fault_applied"]
+    assert applied == [(5, 1), (20, 2)]
+    assert sync_read_cycles(report.trace) == {0: 52, 2: 55}
+    assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (55, [0, 2])
+    assert report.sessions_completed == 1
+
+
+def test_blocks_sleep_through_their_computes(monkeypatch):
+    ticks = []
+    tick = ProcessingBlock.tick
+
+    def counted(self, response=None):
+        ticks.append(self.block_id)
+        return tick(self, response)
+
+    monkeypatch.setattr(ProcessingBlock, "tick", counted)
+    scenario = group_scenario(max_cycles=30_000)
+    scenario.programs = [[Compute(10_000), Compute(10_000), Halt()] for _ in range(3)]
+    report = run(scenario)
+    assert (report.end_reason, report.cycles_run) == ("all_halted", 20_001)
+    assert len(ticks) < 20
 
 
 @pytest.mark.parametrize("bit", [16, 31])  # into system RAM, out of every region

@@ -52,6 +52,22 @@ def test_cycle_window_activates_at_its_cycle():
     assert eng.drain_events() == []  # one-shot
 
 
+def test_next_cycle_is_the_earliest_cycle_window_left():
+    eng = FaultEngine(
+        [
+            FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_cycle=7),
+            FaultSpec(target=1, kind=FaultKind.STUCK_SILENT, at_safe_instr=0),
+            FaultSpec(target=1, kind=FaultKind.NO_SHOW, at_cycle=3),
+        ]
+    )
+    blocks = make_blocks()
+    assert eng.next_cycle == 3
+    eng.on_cycle_start(3, blocks)
+    assert eng.next_cycle == 7
+    eng.on_cycle_start(7, blocks)
+    assert eng.next_cycle is None  # the instruction window is not on the cycle schedule
+
+
 def test_start_jitter_sets_the_delay_knob():
     eng = FaultEngine(
         [FaultSpec(target=1, kind=FaultKind.START_JITTER, at_cycle=1, delay=4)]

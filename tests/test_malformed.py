@@ -3,13 +3,14 @@
 The scenario fields come from the dataclasses the loader reads them from, so
 a field added there is probed here without a new case.  A scenario load must
 succeed or raise ``ScenarioError``; a sweep spec must be rejected with a
-``ValidationError`` that names the key, and so must a wrong ``run()`` override."""
+``ValidationError`` that names the key, and so must a wrong ``run()`` override
+or a wrong integer field of a ``Scenario`` built in code."""
 
 from __future__ import annotations
 
 import copy
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -150,3 +151,20 @@ def test_a_wrong_max_cycles_override_is_rejected(value):
     with pytest.raises(ValidationError) as exc:
         run(scenario, max_cycles=value)
     assert exc.value.field_path == "max_cycles override"
+
+
+# built in code, as the sweeps build theirs; a large count is a valid one
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        pytest.param(name, v, id=f"{name}={short_repr(v)}")
+        for name in ("seed", "n_blocks", "max_cycles")
+        for v in WRONG_VALUES
+        if name == "seed" or not (type(v) is int and v >= 1)
+    ],
+)
+def test_a_wrong_integer_field_of_a_built_scenario_is_rejected(name, value):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    with pytest.raises(ValidationError) as exc:
+        run(replace(scenario, **{name: value}))
+    assert exc.value.field_path == name

@@ -14,6 +14,10 @@ A run that corrupts an address into a region its bus cannot serve is left
 out: on the system bus it aborts with ``UnmappedAddress``, on the voted bus
 it ends in the safe state with the session outcome ``unmapped_address``.
 The counts of hashed and left-out runs are pinned beside the digest.
+
+The engine does not tick a block inside a ``Compute`` until it ends; a
+second check runs generated scenarios with that on and off and compares
+their bytes.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import hashlib
 import itertools
 from pathlib import Path
 
-from generated import random_scenario, run_unless_unmapped
-from lockstepsim import Scenario, emit_trace, load_scenario_file
+import pytest
+
+from generated import random_scenario, run_unless_unmapped, wide_scenario
+from lockstepsim import ProcessingBlock, Scenario, emit_trace, load_scenario_file
 from lockstepsim.sweep import (
     DEFAULT_SAFE_PROGRAM,
     build_masking_scenario,
@@ -54,9 +60,9 @@ def corpus():
         yield random_scenario(index), None
 
 
-def run_bytes(scenario: Scenario, seed):
+def run_bytes(scenario: Scenario, seed=None, traced=True):
     """jsonl + csv + report bytes of one run, or None for a run left out."""
-    report = run_unless_unmapped(scenario, seed=seed)
+    report = run_unless_unmapped(scenario, seed=seed, trace_enabled=traced)
     if report is None:
         return None
     return emit_trace(report.trace, "jsonl") + emit_trace(report.trace, "csv") + report.to_json().encode()
@@ -74,3 +80,13 @@ def test_corpus_hash_is_pinned():
         digest.update(data)
     assert (hashed, left_out) == (CORPUS_HASHED, CORPUS_LEFT_OUT)
     assert digest.hexdigest() == CORPUS_SHA256
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("generate", [random_scenario, wide_scenario], ids=lambda g: g.__name__)
+def test_sleeping_through_computes_moves_no_byte(monkeypatch, generate, traced):
+    asleep = [run_bytes(generate(index), traced=traced) for index in range(200)]
+    # retiring nothing, every block counts its computes down tick by tick
+    monkeypatch.setattr(ProcessingBlock, "retire_compute", lambda self: 0)
+    ticked = [run_bytes(generate(index), traced=traced) for index in range(200)]
+    assert [i for i in range(200) if asleep[i] != ticked[i]] == []
