@@ -8,9 +8,13 @@ program); a zero response is a rejection and the block resumes where it left
 off.  When the safe program ends, the block issues a second read of the same
 register and stalls until the whole group is released together.
 
-Timing model: Compute(d) occupies d ticks; a bus instruction issues its
+Timing model: a block is ticked only when it has input: when a sleep
+(``TickOutput.sleep``) ends, or when the transaction it issued is answered.
+Compute(d) advances the pc at once and sleeps d - 1 cycles, so it occupies
+d; a start jitter of d sleeps d - 1 cycles from the boundary that took the
+interrupt, then issues the sync read.  A bus instruction issues its
 transaction in one tick and completes (pc advance plus fall-through into the
-next instruction) at the tick its response arrives, so back-to-back bus
+next instruction) at the tick its answer arrives, so back-to-back bus
 operations issue once per cycle.
 """
 
@@ -91,6 +95,7 @@ class TickOutput:
     tx: Optional[BusTransaction] = None  # its role is the state the tick ends in
     trigger: Optional[TriggerSource] = None
     state_changes: List[Tuple[BlockState, BlockState]] = field(default_factory=list)
+    sleep: int = 0  # cycles with nothing to do before the next tick
 
 
 class ProcessingBlock:
@@ -112,10 +117,7 @@ class ProcessingBlock:
         self.sync_delay = 0
         self.safe_override: Optional[Tuple[int, List[Instruction]]] = None
         self.safe_fetch_hook: Optional[Callable[["ProcessingBlock", int], None]] = None
-        # execution internals
-        self._compute_left = 0
-        self._waiting = False
-        self._jitter_left: Optional[int] = None
+        self._sync_on_wake = False  # a start jitter is delaying the sync read
 
     # -- external stimulus ------------------------------------------------
 
@@ -142,6 +144,10 @@ class ProcessingBlock:
         self._change(out, BlockState.AWAITING_EXIT)
         out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
 
+    def _resume(self, out: TickOutput):
+        self._change(out, BlockState.NORMAL_PROCESSING)
+        self.pc, self.saved_pc = self.saved_pc, None
+
     def _safe_index(self) -> int:
         return self.pc - SAFECODE_START
 
@@ -159,49 +165,23 @@ class ProcessingBlock:
     # -- the tick ----------------------------------------------------------
 
     def tick(self, response: Optional[int] = None) -> TickOutput:
-        """Advance one cycle.  ``response`` carries the completion of a bus
-        transaction issued earlier (sync/exit release value or data answer)."""
+        """Advance one cycle on input: ``response`` answers the block's
+        transaction (sync/exit release value or data answer); None ends a sleep."""
         out = TickOutput()
-        if self.state is BlockState.HALTED:
-            return out
-
-        if self.state is BlockState.AWAITING_SYNC:
-            if response is None:
-                return out  # still stalled at the monitor
-            if response & 0xFF:
+        if response is not None:
+            if self.state is BlockState.AWAITING_SYNC and response & 0xFF:
                 self._change(out, BlockState.SAFE_PROCESSING)
                 self.pc = SAFECODE_START
-            else:
+            elif self.state is BlockState.AWAITING_SYNC:
                 self._change(out, BlockState.REJECTED)
-                self._change(out, BlockState.NORMAL_PROCESSING)
-                self.pc = self.saved_pc
-                self.saved_pc = None
-            # fall through: execute this tick from the new pc
-        elif self.state is BlockState.AWAITING_EXIT:
-            if response is None:
-                return out
-            # release value is ignored beyond arrival itself
-            self._change(out, BlockState.NORMAL_PROCESSING)
-            self.pc = self.saved_pc
-            self.saved_pc = None
-
-        if self._waiting:
-            if response is None:
-                return out  # bus op still outstanding
-            self._waiting = False
-            self.pc += 1
-
-        if self._compute_left > 0:
-            self._compute_left -= 1
-            if self._compute_left == 0:
+                self._resume(out)
+            elif self.state is BlockState.AWAITING_EXIT:
+                self._resume(out)  # release value is ignored beyond arrival itself
+            else:  # a bus operation completed
                 self.pc += 1
-            return out
-
-        if self._jitter_left is not None:
-            self._jitter_left -= 1
-            if self._jitter_left > 0:
-                return out
-            self._jitter_left = None
+            # fall through: execute this tick from the new pc
+        elif self._sync_on_wake:
+            self._sync_on_wake = False
             self._enter_sync(out)
             return out
 
@@ -209,24 +189,14 @@ class ProcessingBlock:
         if self.pending_irq and self.state is BlockState.NORMAL_PROCESSING:
             self.pending_irq = False
             if self.sync_delay > 0:
-                self._jitter_left = self.sync_delay
+                out.sleep = self.sync_delay - 1
                 self.sync_delay = 0
+                self._sync_on_wake = True
                 return out
             self._enter_sync(out)
             return out
 
         return self._execute(out)
-
-    def retire_compute(self) -> int:
-        """Finish the ``Compute`` in progress at once and return the ticks it
-        had left, 0 outside a compute.  Those ticks would change nothing that
-        anyone outside the block reads, so the caller need not tick the block
-        again until they are over."""
-        left = self._compute_left
-        if left:
-            self._compute_left = 0
-            self.pc += 1
-        return left
 
     def _execute(self, out: TickOutput) -> TickOutput:
         if self.state is BlockState.SAFE_PROCESSING:
@@ -241,16 +211,12 @@ class ProcessingBlock:
             instr = self.program[self.pc]
 
         if isinstance(instr, Compute):
-            self._compute_left = instr.duration
-            self._compute_left -= 1
-            if self._compute_left == 0:
-                self.pc += 1
+            self.pc += 1
+            out.sleep = instr.duration - 1
         elif isinstance(instr, Read):
             out.tx = BusTransaction(TxKind.READ, instr.address)
-            self._waiting = True
         elif isinstance(instr, Write):
             out.tx = BusTransaction(TxKind.WRITE, instr.address, instr.data)
-            self._waiting = True
         elif isinstance(instr, TriggerSP):
             out.trigger = instr.source
             self.pc += 1

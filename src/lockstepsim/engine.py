@@ -5,12 +5,13 @@ executes seven phases in a fixed order:
 
 1. scheduled fault activation
 2. scheduled external triggers
-3. block ticks, ascending block id, of the blocks that have work
+3. block ticks, ascending block id, of the blocks that have input
    (transactions collected, not yet served; the state a tick ends in names
    its transaction: a sync read, an exit read, voted data or a system-bus
-   access).  A block inside a ``Compute`` is not ticked until it ends: until
-   then it issues nothing and changes no state anyone reads, and what it
-   latches meanwhile (an IRQ, a fault knob) it reads at that boundary.
+   access).  ``World.wake`` holds the cycle each block next acts: the end of
+   a ``Compute`` or a start jitter, the cycle after its transaction is
+   answered, or never once it halts.  What it latches meanwhile (an IRQ, a
+   fault knob) it reads when it wakes.
 4. monitor rendezvous work: session requests, IRQ latch delivery (latency 0
    included), entry arrivals and admission, exit arrivals and group release
 5. bus commit: system RAM (serialized by ascending block id), then the voted
@@ -21,7 +22,7 @@ executes seven phases in a fixed order:
 6. availability observer
 7. system-level state transitions
 
-Responses produced in phases 4-5 of cycle t reach the issuing block at its
+Answers produced in phases 4-5 of cycle t wake the issuing block for its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
 A phase with no input this cycle is skipped: no due fault, no noise, no
@@ -84,6 +85,7 @@ _SYSTEM_STATE_OF = {
     SyncState.RELEASING: SystemState.SAFE_PROCESSING_MODE,
 }
 _VOTED_BUS_STATES = (SyncState.LOCKSTEP, SyncState.RELEASING)
+_NEVER = float("inf")  # the wake of a block waiting for an answer, or halted
 
 
 class World:
@@ -111,7 +113,7 @@ class World:
         self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
         self.held_tx: Dict[int, BusTransaction] = {}
-        # the first cycle each block ticks again: a block sleeps through its computes
+        # the cycle each block next acts: the end of a sleep, or the one after an answer
         self.wake = [0] * scenario.n_blocks
         # latest first, so the due ones pop off the end in declaration order
         self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
@@ -172,19 +174,19 @@ class World:
             self.emit(2, "system", "trigger", {"source": source.value})
             requests.append(("external", source))
 
-        # phase 3: ticks of the blocks that are awake
+        # phase 3: ticks of the blocks that have input
         sync_arrivals: List[int] = []
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
         wake = self.wake
         for b in self.blocks:
             if wake[b.block_id] > c:
-                continue  # inside a Compute: nothing to do until it ends
-            response = self.mailbox.pop(b.block_id, None)
-            out = b.tick(response)
-            left = b.retire_compute()
-            if left:
-                wake[b.block_id] = c + left + 1
+                continue  # asleep, or waiting for an answer
+            out = b.tick(self.mailbox.pop(b.block_id, None))
+            if out.tx is None and b.state is not BlockState.HALTED:
+                wake[b.block_id] = c + out.sleep + 1
+            else:
+                wake[b.block_id] = _NEVER  # until _answer wakes it
             if faults.pending_events:
                 self._emit_faults(3)
             for old, new in out.state_changes:
@@ -256,6 +258,11 @@ class World:
         for target, detail in self.fault_engine.drain_events():
             self.emit(phase, target, "fault_applied", detail)
 
+    def _answer(self, b_id: int, value: int) -> None:
+        """Answer a block's transaction; it acts on the answer next cycle."""
+        self.mailbox[b_id] = value
+        self.wake[b_id] = self.cycle + 1
+
     def _phase_requests(self, c: int, requests: List[Tuple[object, TriggerSource]]) -> None:
         for origin, source in requests:
             if self.monitor.request_sp(c):
@@ -273,10 +280,10 @@ class World:
             return
         accepted, rejected, context = answer
         for b_id in accepted:
-            self.mailbox[b_id] = LockstepMonitor.ACCEPT
+            self._answer(b_id, LockstepMonitor.ACCEPT)
             self.emit(4, "monitor", "accept", {"block": b_id, "response": 1})
         for b_id in rejected:
-            self.mailbox[b_id] = LockstepMonitor.REJECT
+            self._answer(b_id, LockstepMonitor.REJECT)
             self.emit(4, "monitor", "reject", {"block": b_id, "response": 0, "context": context})
         self.counters["rejected"] += len(rejected)
         if accepted:
@@ -290,7 +297,7 @@ class World:
         if released is None:
             return
         for b_id in released:
-            self.mailbox[b_id] = LockstepMonitor.ACCEPT
+            self._answer(b_id, LockstepMonitor.ACCEPT)
         self.emit(4, "monitor", "release", {"blocks": released, "response": 1})
         self.emit(4, "monitor", "state_change", {"from": "releasing", "to": "idle"})
         self.held_tx.clear()
@@ -303,7 +310,7 @@ class World:
                 raise UnmappedAddress(
                     exc.address, f"cycle {c}, block {b_id}: {exc.context}"
                 ) from None
-            self.mailbox[b_id] = response
+            self._answer(b_id, response)
 
     def _commit_voted_bus(self) -> None:
         members = self.monitor.sessions[-1].accepted
@@ -344,7 +351,7 @@ class World:
         # shared-bus acknowledge: every live pending data transaction completes
         for b_id in members:
             if self.blocks[b_id].state is BlockState.SAFE_PROCESSING and b_id in self.held_tx:
-                self.mailbox[b_id] = response
+                self._answer(b_id, response)
                 del self.held_tx[b_id]
 
     # -- whole runs -----------------------------------------------------------

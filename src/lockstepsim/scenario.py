@@ -179,6 +179,7 @@ _TRIGGER_KEYS = {f.name for f in fields(ExternalTrigger)}
 _FLAG_KEYS = {f.name for f in fields(Flags)}
 _NOISE_KEYS = {"flip_probability"}
 _FAULT_FIELDS = [f.name for f in fields(FaultSpec)]
+_FAULT_NUMBERS = ("at_cycle", "at_safe_instr", "bit", "delay")  # optional integers
 
 
 def _require(mapping: Dict, key: str, path: str):
@@ -288,106 +289,113 @@ def load_scenario_file(path: str) -> Scenario:
     return load_scenario(read_text(path, "scenario"))
 
 
+def _enum_or_raw(enum: type, value):
+    """The member of ``enum`` named by ``value``, else ``value`` for
+    ``validate_scenario`` to reject."""
+    try:
+        return enum(value)
+    except ValueError:
+        return value
+
+
 def scenario_from_dict(doc: Dict) -> Scenario:
+    """Build a scenario from a document; ``validate_scenario`` checks the
+    values the document gave."""
     _mapping(doc, "", _SCENARIO_KEYS)
+    for key in ("name", "seed", "n_blocks", "moon", "programs", "safe_program"):
+        _require(doc, key, "")
 
-    name = _require(doc, "name", "")
-    if not isinstance(name, str) or not name:
-        raise ValidationError("name", "must be a non-empty string")
-    seed = check_seed(_require(doc, "seed", ""), "seed")
-    n_blocks = _int_field(doc, "n_blocks", "")
+    moon_doc = _mapping(doc["moon"], "moon", _MOON_FIELDS)
+    moon = MoonConfig(**{key: _require(moon_doc, key, "moon.") for key in _MOON_FIELDS})
 
-    moon_doc = _mapping(_require(doc, "moon", ""), "moon", _MOON_FIELDS)
-    moon = MoonConfig(**{key: _int_field(moon_doc, key, "moon.") for key in _MOON_FIELDS})
-
-    boot_check = doc.get("boot_check", "pass")
-    max_cycles = _int_field(doc, "max_cycles", "") if "max_cycles" in doc else 1000
-
-    programs_doc = _require(doc, "programs", "")
+    programs_doc = doc["programs"]
     if not isinstance(programs_doc, list):
         raise ValidationError("programs", "must be a list of programs")
     programs = [_program(prog, f"programs[{i}]") for i, prog in enumerate(programs_doc)]
-    safe_program = _program(_require(doc, "safe_program", ""), "safe_program")
+    safe_program = _program(doc["safe_program"], "safe_program")
 
     triggers = []
     for i, trig in enumerate(_optional_field(doc, "triggers", list)):
         trig = _mapping(trig, f"triggers[{i}]", _TRIGGER_KEYS)
-        cycle = _int_field(trig, "cycle", f"triggers[{i}].")
-        source_raw = _require(trig, "source", f"triggers[{i}].")
-        try:
-            source = TriggerSource(source_raw)
-        except ValueError:
-            raise ValidationError(f"triggers[{i}].source", f"unknown source {source_raw!r}") from None
+        cycle = _require(trig, "cycle", f"triggers[{i}].")
+        source = _enum_or_raw(TriggerSource, _require(trig, "source", f"triggers[{i}]."))
         triggers.append(ExternalTrigger(cycle=cycle, source=source))
 
     faults_doc = _optional_field(doc, "faults", list)
     faults = [_fault_from_dict(fdoc, i) for i, fdoc in enumerate(faults_doc)]
 
     flags_doc = _mapping(_optional_field(doc, "flags", dict), "flags", _FLAG_KEYS)
-    random_selection = flags_doc.get("random_selection", False)
-    if not isinstance(random_selection, bool):
-        raise ValidationError("flags.random_selection", "must be true or false")
-    flags = Flags(random_selection=random_selection)
-
-    irq_latency = doc.get("irq_latency")
-    if irq_latency is not None:
-        if not isinstance(irq_latency, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in irq_latency
-        ):
-            raise ValidationError("irq_latency", "must be a list of integers")
-
     noise_doc = _mapping(_optional_field(doc, "noise", dict), "noise", _NOISE_KEYS)
-    noise_p = noise_doc.get("flip_probability", 0.0)
-    if isinstance(noise_p, bool) or not isinstance(noise_p, (int, float)):
-        raise ValidationError("noise.flip_probability", "must be a number")
-
     scenario = Scenario(
-        name=name,
-        seed=seed,
-        n_blocks=n_blocks,
+        name=doc["name"],
+        seed=doc["seed"],
+        n_blocks=doc["n_blocks"],
         moon=moon,
-        boot_check=boot_check,
+        boot_check=doc.get("boot_check", "pass"),
         programs=programs,
         safe_program=safe_program,
         triggers=triggers,
         faults=faults,
-        max_cycles=max_cycles,
-        flags=flags,
-        irq_latency=list(irq_latency) if irq_latency is not None else None,
-        noise_flip_probability=noise_p,
+        max_cycles=doc.get("max_cycles", 1000),
+        flags=Flags(random_selection=flags_doc.get("random_selection", False)),
+        irq_latency=doc.get("irq_latency"),
+        noise_flip_probability=noise_doc.get("flip_probability", 0.0),
     )
     validate_scenario(scenario)
     # within 0..1 now, so an integer too large for a float cannot reach float()
-    scenario.noise_flip_probability = float(noise_p)
+    scenario.noise_flip_probability = float(scenario.noise_flip_probability)
     return scenario
 
 
 def _fault_from_dict(fdoc, i: int) -> FaultSpec:
     where = f"faults[{i}]"
     _mapping(fdoc, where, _FAULT_FIELDS)
-    target = _int_field(fdoc, "target", where + ".")
-    kind_raw = _require(fdoc, "kind", where + ".")
-    try:
-        kind = FaultKind(kind_raw)
-    except ValueError:
-        raise ValidationError(f"{where}.kind", f"unknown fault kind {kind_raw!r}") from None
+    target = _require(fdoc, "target", where + ".")
+    kind = _enum_or_raw(FaultKind, _require(fdoc, "kind", where + "."))
     program = None
     if fdoc.get("program") is not None:
         program = tuple(_program(fdoc["program"], f"{where}.program"))
-    numbers = {
-        key: _int_field(fdoc, key, where + ".")
-        for key in ("at_cycle", "at_safe_instr", "bit", "delay")
-        if fdoc.get(key) is not None
-    }
+    numbers = {key: fdoc[key] for key in _FAULT_NUMBERS if fdoc.get(key) is not None}
     return FaultSpec(target=target, kind=kind, program=program, **numbers)
 
 
 # -- validation ----------------------------------------------------------------
 
 
-def _check_normal_instruction(instr: Instruction, where: str):
+def _sequence(value, where: str, what: str):
+    """``value`` if it is a list or a tuple; ``what`` names its entries."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(where, f"must be a list of {what}")
+    return value
+
+
+def _instance(value, cls: type, where: str):
+    if not isinstance(value, cls):
+        raise ValidationError(where, f"expected {cls.__name__}, got {value!r}")
+    return value
+
+
+# the integer operands of each instruction
+_OPERANDS = {
+    cls: [f.name for f in fields(cls) if f.name != "source"] for cls in Instruction.__args__
+}
+
+
+def _check_instruction(instr, where: str):
+    """What normal and safe code share: an instruction whose operands are
+    integers, a trigger's source a member, and a compute at least 1 long."""
+    if type(instr) not in _OPERANDS:
+        raise ValidationError(where, f"expected instruction, got {instr!r}")
+    for name in _OPERANDS[type(instr)]:
+        check_int(getattr(instr, name), f"{where}.{name}")
+    if isinstance(instr, TriggerSP) and not isinstance(instr.source, TriggerSource):
+        raise ValidationError(where, f"unknown trigger source: {instr.source!r}")
     if isinstance(instr, Compute) and instr.duration < 1:
         raise ValidationError(where, "compute duration must be >= 1")
+
+
+def _check_normal_instruction(instr: Instruction, where: str):
+    _check_instruction(instr, where)
     if isinstance(instr, (Read, Write)):
         if classify_address(instr.address) is not Region.SYSTEM_RAM:
             raise ValidationError(
@@ -405,10 +413,9 @@ def _check_normal_instruction(instr: Instruction, where: str):
 
 
 def _check_safe_instruction(instr: Instruction, where: str):
+    _check_instruction(instr, where)
     if isinstance(instr, (TriggerSP, Halt)):
         raise ValidationError(where, "safe program may not trigger or halt")
-    if isinstance(instr, Compute) and instr.duration < 1:
-        raise ValidationError(where, "compute duration must be >= 1")
     if isinstance(instr, Read):
         if not (LS_RAM_BASE <= instr.address <= LS_RAM_LAST):
             raise ValidationError(where, "safe code reads lockstep RAM only")
@@ -426,12 +433,16 @@ def _check_safe_instruction(instr: Instruction, where: str):
 
 
 def validate_scenario(s: Scenario) -> None:
-    """Structural validation shared by the loader and by boot."""
+    """Every check of a scenario's values, whether loaded or built in code."""
+    if not isinstance(s.name, str) or not s.name:
+        raise ValidationError("name", "must be a non-empty string")
     check_seed(s.seed, "seed")
     check_int(s.n_blocks, "n_blocks", minimum=1)
     check_int(s.max_cycles, "max_cycles", minimum=1)
     if s.boot_check not in ("pass", "fail"):
         raise ValidationError("boot_check", "must be 'pass' or 'fail'")
+    for key in _MOON_FIELDS:
+        check_int(getattr(_instance(s.moon, MoonConfig, "moon"), key), f"moon.{key}")
     try:
         s.moon.validate()
     except InvalidConfig as exc:
@@ -440,36 +451,51 @@ def validate_scenario(s: Scenario) -> None:
         raise ValidationError(
             "n_blocks", f"must be >= moon.n_required ({s.moon.n_required})"
         )
-    if len(s.programs) != s.n_blocks:
+    if len(_sequence(s.programs, "programs", "programs")) != s.n_blocks:
         raise ValidationError(
             "programs", f"expected {s.n_blocks} programs, got {len(s.programs)}"
         )
     for i, prog in enumerate(s.programs):
-        for j, instr in enumerate(prog):
+        for j, instr in enumerate(_sequence(prog, f"programs[{i}]", "instructions")):
             _check_normal_instruction(instr, f"programs[{i}][{j}]")
-    for j, instr in enumerate(s.safe_program):
+    for j, instr in enumerate(_sequence(s.safe_program, "safe_program", "instructions")):
         _check_safe_instruction(instr, f"safe_program[{j}]")
-    for i, trig in enumerate(s.triggers):
-        if trig.cycle < 1:
-            raise ValidationError(f"triggers[{i}].cycle", "must be >= 1")
+    for i, trig in enumerate(_sequence(s.triggers, "triggers", "triggers")):
+        where = f"triggers[{i}]"
+        check_int(_instance(trig, ExternalTrigger, where).cycle, f"{where}.cycle", minimum=1)
+        if not isinstance(trig.source, TriggerSource):
+            raise ValidationError(f"{where}.source", f"unknown source {trig.source!r}")
         if trig.source not in EXTERNAL_SOURCES:
             raise ValidationError(
-                f"triggers[{i}].source", "scheduled triggers must use an external source"
+                f"{where}.source", "scheduled triggers must use an external source"
             )
+    if not isinstance(_instance(s.flags, Flags, "flags").random_selection, bool):
+        raise ValidationError("flags.random_selection", "must be true or false")
     if s.irq_latency is not None:
+        latencies = _sequence(s.irq_latency, "irq_latency", "integers")
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in latencies):
+            raise ValidationError("irq_latency", "must be a list of integers")
         if len(s.irq_latency) != s.n_blocks:
             raise ValidationError("irq_latency", f"expected {s.n_blocks} entries")
         if any(x < 0 for x in s.irq_latency):
             raise ValidationError("irq_latency", "latencies must be >= 0")
-    if not (0.0 <= s.noise_flip_probability <= 1.0):
+    noise = s.noise_flip_probability
+    if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+        raise ValidationError("noise.flip_probability", "must be a number")
+    if not (0.0 <= noise <= 1.0):
         raise ValidationError("noise.flip_probability", "must be within 0..1")
-    for i, f in enumerate(s.faults):
-        _validate_fault(f, i, s)
+    for i, f in enumerate(_sequence(s.faults, "faults", "faults")):
+        _validate_fault(_instance(f, FaultSpec, f"faults[{i}]"), i, s)
 
 
 def _validate_fault(f: FaultSpec, i: int, s: Scenario) -> None:
     where = f"faults[{i}]"
-    if not (0 <= f.target < s.n_blocks):
+    if not isinstance(f.kind, FaultKind):
+        raise ValidationError(f"{where}.kind", f"unknown fault kind {f.kind!r}")
+    for key in _FAULT_NUMBERS:
+        if getattr(f, key) is not None:
+            check_int(getattr(f, key), f"{where}.{key}")
+    if not (0 <= check_int(f.target, f"{where}.target") < s.n_blocks):
         raise ValidationError(f"{where}.target", f"no such block {f.target}")
     windows = [w for w in (f.at_cycle, f.at_safe_instr) if w is not None]
     if len(windows) != 1:
@@ -500,7 +526,7 @@ def _validate_fault(f: FaultSpec, i: int, s: Scenario) -> None:
     if f.kind is FaultKind.DIVERGENT_PROGRAM:
         if f.program is None:
             raise ValidationError(f"{where}.program", "alternate program required")
-        for j, instr in enumerate(f.program):
+        for j, instr in enumerate(_sequence(f.program, f"{where}.program", "instructions")):
             _check_safe_instruction(instr, f"{where}.program[{j}]")
     elif f.program is not None:
         raise ValidationError(f"{where}.program", f"not a {f.kind.value} parameter")

@@ -440,17 +440,9 @@ def test_request_against_halted_blocks_times_out():
     assert errors[0].cycle == 5 + scenario.moon.t_gather + 1
 
 
-# -- blocks asleep inside a compute ------------------------------------------------
-# The engine does not tick a block inside a Compute until the compute ends.
-# With ``retire_compute`` patched to retire nothing, every block counts its
-# compute down tick by tick instead; the cycles below hold either way.
-
-
-@pytest.fixture(params=["asleep", "ticked"])
-def compute_mode(request, monkeypatch):
-    if request.param == "ticked":
-        monkeypatch.setattr(ProcessingBlock, "retire_compute", lambda self: 0)
-    return request.param
+# -- blocks asleep until they have input --------------------------------------------
+# The engine ticks a block only at the end of a sleep (a Compute, a start
+# jitter) or when the transaction it issued is answered.
 
 
 def sleeper_scenario(faults=()):
@@ -473,14 +465,14 @@ def sync_read_cycles(trace):
     return {e.entity: e.cycle for e in trace if e.kind == "sync_read"}
 
 
-def test_irq_latched_inside_a_compute_is_read_after_its_last_tick(compute_mode):
+def test_irq_latched_inside_a_compute_is_read_after_its_last_tick():
     report = run(sleeper_scenario())
     assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
     assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
     audit_event_order(report.trace)
 
 
-def test_faults_activated_inside_a_compute_act_at_its_boundary(compute_mode):
+def test_faults_activated_inside_a_compute_act_at_its_boundary():
     """A no-show before the trigger keeps block 1 out; a start jitter after
     the latch delays block 2's sync read by its delay from the boundary."""
     report = run(
@@ -498,20 +490,104 @@ def test_faults_activated_inside_a_compute_act_at_its_boundary(compute_mode):
     assert report.sessions_completed == 1
 
 
-def test_blocks_sleep_through_their_computes(monkeypatch):
-    ticks = []
+def jitter_scenario(faults):
+    """Blocks 0 and 1 form a 2-of-2 group; block 2 is inside a Compute(12)
+    from cycle 2 to 13.  The trigger at 5 latches every IRQ; the group runs
+    from 6 to 13 without block 2, which takes the latch at its boundary at 14.
+    The trigger at 15 opens a second session that runs from 16 to 23, and
+    latches block 2 again at 15."""
+    scenario = group_scenario(
+        n_blocks=3,
+        n=2,
+        m=2,
+        safe_program=[Write(LS_RAM_BASE, 7), Compute(5)],
+        triggers=[ExternalTrigger(c, TriggerSource.EXTERNAL_IN_SCOPE) for c in (5, 15)],
+        max_cycles=80,
+    )
+    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)]
+    scenario.programs.append([Compute(1), Compute(12)] + [Compute(1)] * 30 + [Halt()])
+    first = FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=3, delay=5)
+    scenario.faults = [first] + faults
+    return scenario
+
+
+def block_answers(trace, block):
+    """(cycle, kind, context) of every sync read and answer of one block."""
+    return [
+        (e.cycle, e.kind, e.detail.get("context"))
+        for e in trace
+        if (e.kind == "sync_read" and e.entity == block)
+        or (e.kind in ("accept", "reject") and e.detail["block"] == block)
+    ]
+
+
+def test_an_irq_latched_during_a_start_jitter_is_taken_after_the_sync_read():
+    """The jitter of 5 from the boundary at 14 puts the sync read at 19; the
+    latch at 15 stays pending and is taken, without jitter, when the
+    rejection is answered at 20."""
+    report = run(jitter_scenario([]))
+    assert [e.cycle for e in report.trace if e.kind == "irq_assert"] == [5, 15]
+    assert block_answers(report.trace, 2) == [
+        (19, "sync_read", None),
+        (19, "reject", "session_running"),
+        (20, "sync_read", None),
+        (20, "reject", "session_running"),
+    ]
+    assert [s["accepted"] for s in report.sessions] == [[0, 1], [0, 1]]
+
+
+def test_a_start_jitter_activated_during_another_delays_the_next_latch():
+    """A second jitter of 2 at cycle 16 leaves the read at 19 as it was and
+    delays the read of the latch taken at 20 to 22."""
+    second = FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=16, delay=2)
+    report = run(jitter_scenario([second]))
+    applied = [(e.cycle, e.entity) for e in report.trace if e.kind == "fault_applied"]
+    assert applied == [(3, 2), (16, 2)]
+    assert block_answers(report.trace, 2) == [
+        (19, "sync_read", None),
+        (19, "reject", "session_running"),
+        (22, "sync_read", None),
+        (22, "reject", "session_running"),
+    ]
+
+
+def run_counting_ticks(monkeypatch, scenario):
+    """Run ``scenario``; return its world and the cycles each block was ticked in."""
+    world = World(scenario)
+    ticks = {b: [] for b in range(scenario.n_blocks)}
     tick = ProcessingBlock.tick
 
     def counted(self, response=None):
-        ticks.append(self.block_id)
+        ticks[self.block_id].append(world.cycle)
         return tick(self, response)
 
     monkeypatch.setattr(ProcessingBlock, "tick", counted)
+    world.run()
+    return world, ticks
+
+
+def test_blocks_sleep_through_their_computes(monkeypatch):
     scenario = group_scenario(max_cycles=30_000)
     scenario.programs = [[Compute(10_000), Compute(10_000), Halt()] for _ in range(3)]
-    report = run(scenario)
-    assert (report.end_reason, report.cycles_run) == ("all_halted", 20_001)
-    assert len(ticks) < 20
+    world, ticks = run_counting_ticks(monkeypatch, scenario)
+    assert (world.end_reason, world.cycle) == ("all_halted", 20_001)
+    assert ticks == {b: [1, 10_001, 20_001] for b in range(3)}
+
+
+def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
+    """The spare, block 3, halts at cycle 4 when it resumes from its
+    rejection.  Block 0 falls silent at its first safe write, issued at 4,
+    and is not ticked again while the session runs into its execution
+    timeout at 16; its partners compute and issue their exit reads at 8."""
+    scenario = build_masking_scenario(
+        4, 3, 2, faults=[FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_safe_instr=0)]
+    )
+    scenario.safe_program = (Write(LS_RAM_BASE, 7), Compute(3))
+    scenario.programs[3] = [Compute(2), Halt()]
+    world, ticks = run_counting_ticks(monkeypatch, scenario)
+    assert ticks == {0: [1, 2, 3, 4], 1: [1, 2, 3, 4, 5, 8], 2: [1, 2, 3, 4, 5, 8], 3: [1, 3, 4]}
+    assert world.monitor.sessions[0].outcome == "exec_timeout"
+    assert world.cycle == 16
 
 
 @pytest.mark.parametrize("bit", [16, 31])  # into system RAM, out of every region

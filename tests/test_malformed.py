@@ -4,7 +4,7 @@ The scenario fields come from the dataclasses the loader reads them from, so
 a field added there is probed here without a new case.  A scenario load must
 succeed or raise ``ScenarioError``; a sweep spec must be rejected with a
 ``ValidationError`` that names the key, and so must a wrong ``run()`` override
-or a wrong integer field of a ``Scenario`` built in code."""
+or a wrong field of a ``Scenario`` built in code."""
 
 from __future__ import annotations
 
@@ -16,8 +16,18 @@ from pathlib import Path
 import pytest
 import yaml
 
-from lockstepsim import ExternalTrigger, FaultSpec, Flags, MoonConfig, run
+from lockstepsim import (
+    Compute,
+    ExternalTrigger,
+    FaultSpec,
+    Flags,
+    MoonConfig,
+    Scenario,
+    TriggerSource,
+    run,
+)
 from lockstepsim.cli import EXIT_SCENARIO_ERROR, main
+from lockstepsim.faults import FaultKind
 from lockstepsim.scenario import (
     _SCENARIO_KEYS,
     ScenarioError,
@@ -153,18 +163,82 @@ def test_a_wrong_max_cycles_override_is_rejected(value):
     assert exc.value.field_path == "max_cycles override"
 
 
-# built in code, as the sweeps build theirs; a large count is a valid one
+def built_cases():
+    """(field, wrong value, the field path its error names) for fig5 built in
+    code, as the sweeps build theirs; a large count is a valid one."""
+    for name in ("seed", "n_blocks", "max_cycles"):
+        for v in WRONG_VALUES:
+            if name == "seed" or not (type(v) is int and v >= 1):
+                yield name, v, name
+    in_scope = TriggerSource.EXTERNAL_IN_SCOPE
+    yield from [
+        ("name", 5, "name"),
+        ("name", "", "name"),
+        ("moon", "x", "moon"),
+        ("moon", MoonConfig(2, 2, 20, "x"), "moon.t_exec"),
+        ("programs", [["x"]] * 3, "programs[0][0]"),
+        ("programs", [[Compute("x")]] * 3, "programs[0][0].duration"),
+        ("programs", "x", "programs"),
+        ("safe_program", "x", "safe_program"),
+        ("safe_program", ["x"], "safe_program[0]"),
+        ("triggers", ["x"], "triggers[0]"),
+        ("triggers", [ExternalTrigger("x", in_scope)], "triggers[0].cycle"),
+        ("triggers", [ExternalTrigger(3, "x")], "triggers[0].source"),
+        ("faults", ["x"], "faults[0]"),
+        ("faults", [FaultSpec("x", FaultKind.NO_SHOW, at_cycle=1)], "faults[0].target"),
+        ("faults", [FaultSpec(0, "x", at_cycle=1)], "faults[0].kind"),
+        ("faults", [FaultSpec(0, FaultKind.NO_SHOW, at_cycle="x")], "faults[0].at_cycle"),
+        ("flags", None, "flags"),
+        ("flags", Flags(random_selection="x"), "flags.random_selection"),
+        ("irq_latency", ["a", 0, 1], "irq_latency"),
+        ("irq_latency", 5, "irq_latency"),
+        ("noise_flip_probability", "x", "noise.flip_probability"),
+        ("noise_flip_probability", True, "noise.flip_probability"),
+    ]
+
+
 @pytest.mark.parametrize(
-    "name,value",
-    [
-        pytest.param(name, v, id=f"{name}={short_repr(v)}")
-        for name in ("seed", "n_blocks", "max_cycles")
-        for v in WRONG_VALUES
-        if name == "seed" or not (type(v) is int and v >= 1)
-    ],
+    "name,value,path",
+    [pytest.param(*case, id=f"{case[0]}={short_repr(case[1])}") for case in built_cases()],
 )
-def test_a_wrong_integer_field_of_a_built_scenario_is_rejected(name, value):
+def test_a_wrong_field_of_a_built_scenario_is_rejected(name, value, path):
     scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
     with pytest.raises(ValidationError) as exc:
         run(replace(scenario, **{name: value}))
-    assert exc.value.field_path == name
+    assert exc.value.field_path == path
+
+
+def rebuilt(obj, path, value):
+    """``obj`` with the field or entry at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    step, rest = path[0], path[1:]
+    if isinstance(step, int):
+        return [*obj[:step], rebuilt(obj[step], rest, value), *obj[step + 1 :]]
+    return replace(obj, **{step: rebuilt(getattr(obj, step), rest, value)})
+
+
+# the fields of a built scenario and of the dataclasses it holds
+BUILT_PATHS = (
+    [(key,) for key in names(Scenario)]
+    + [("moon", key) for key in names(MoonConfig)]
+    + [("flags", key) for key in names(Flags)]
+    + [("triggers", 0, key) for key in names(ExternalTrigger)]
+    + [("faults", 0, key) for key in names(FaultSpec)]
+    + [("programs", 0), ("programs", 0, 0), ("programs", 0, 0, "duration")]
+    + [("safe_program", 0), ("safe_program", 0, "address"), ("irq_latency", 0)]
+)
+
+
+@pytest.mark.parametrize("path", BUILT_PATHS, ids=spelled)
+def test_a_wrong_value_in_a_built_scenario_is_rejected_or_runs(path):
+    base = load_scenario(yaml.safe_dump(base_scenario()))
+    escaped = []
+    for value in WRONG_VALUES:
+        try:
+            run(rebuilt(base, path, value), trace_enabled=False)
+        except ValidationError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - the point of the test
+            escaped.append(f"{value!r:.40}: {exc!r:.200}")
+    assert escaped == []
