@@ -25,10 +25,12 @@ executes seven phases in a fixed order:
 Answers produced in phases 4-5 of cycle t wake the issuing block for its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
-A phase with no input this cycle is skipped: no due fault, no noise, no
-request, no arrival, no bus traffic, an idle monitor to observe or a monitor
-state that did not move.  A quiet cycle therefore costs little, but ``step()``
-still advances exactly one cycle.
+Every full step ends by setting ``World._due``: the first cycle on which a
+phase other than soak noise can have input.  That is the earliest block wake,
+trigger, cycle-windowed fault, IRQ delivery or session budget, or the next
+cycle while a voted port holds a transaction.  A cycle before it is quiet: it
+draws the soak noise and returns.  Within a full step, a phase with no input
+is skipped as well.  Either way ``step()`` advances exactly one cycle.
 
 The world boots when it is built: Boot, then NormalProcessing (or SafeState
 on a failed boot check).  From then on phase 7 reads the system state off the
@@ -122,6 +124,9 @@ class World:
         # what no session record holds; the rest of the report reads the monitor
         self.counters = {"rejected": 0, "masked_fault_cycles": 0}
         self.end_reason = "max_cycles"
+        # the first cycle a phase other than soak noise can have input; set by
+        # every full step, and the first step is one
+        self._due = 1
         moon = scenario.moon
         self.emit(1, "system", "boot", {
             "result": scenario.boot_check,
@@ -154,10 +159,16 @@ class World:
             raise SimInternalError("step after safe state")
         self.cycle += 1
         c = self.cycle
+        faults = self.fault_engine
+        if c < self._due:  # a quiet cycle: only the soak noise has input
+            if faults.flip_probability > 0:
+                faults.stochastic_flips(c, self.blocks)
+                if faults.pending_events:
+                    self._emit_faults(1)
+            return
         monitor = self.monitor
 
         # phase 1: scheduled fault activation, then seeded soak noise
-        faults = self.fault_engine
         due = faults.next_cycle
         if due is not None and due <= c:
             faults.on_cycle_start(c, self.blocks)
@@ -251,6 +262,28 @@ class World:
                 new = _SYSTEM_STATE_OF[monitor.sync_state]
             if new is not self.system_state:
                 self._set_system_state(new)
+        self._due = self._next_due()
+
+    def _next_due(self) -> float:
+        """The first cycle after this one on which a phase other than soak
+        noise can have input: the vote of a held transaction, a block's wake,
+        a trigger, a cycle-windowed fault, an IRQ delivery or a budget's lapse."""
+        due = min(self.wake)
+        if due == self.cycle + 1 or self.held_tx:
+            # nothing is due sooner; only voted ports hold a transaction, and
+            # it is voted every cycle
+            return self.cycle + 1
+        if self.triggers:
+            due = min(due, self.triggers[-1].cycle)
+        fault_cycle = self.fault_engine.next_cycle
+        if fault_cycle is not None:
+            due = min(due, fault_cycle)
+        if self.pending_irq:
+            due = min(due, min(self.pending_irq))
+        deadline = self.monitor.deadline
+        if deadline is not None:
+            due = min(due, deadline)
+        return due
 
     # -- phase helpers ------------------------------------------------------
 
@@ -372,8 +405,9 @@ class World:
         else:
             check_int(max_cycles, "max_cycles override", minimum=0)
         while self.system_state is not SystemState.SAFE_STATE and self.cycle < max_cycles:
+            quiet = self.cycle + 1 < self._due
             self.step()
-            if self.quiescent():
+            if not quiet and self.quiescent():  # a quiet cycle changes nothing it tests
                 self.end_reason = "all_halted"
                 break
         if self.system_state is SystemState.SAFE_STATE:

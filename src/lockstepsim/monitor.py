@@ -240,24 +240,30 @@ class LockstepMonitor:
 
     # -- observer -------------------------------------------------------------
 
+    @property
+    def deadline(self) -> Optional[int]:
+        """The cycle on which the running session's budget lapses: gathering's
+        ``t_gather`` or execution's ``t_exec``.  None while idle."""
+        if self.sync_state is SyncState.IDLE:
+            return None
+        record = self.sessions[-1]
+        if self.sync_state is SyncState.GATHERING:
+            return record.gather_cycle + self.config.t_gather + 1
+        return record.lockstep_cycle + self.config.t_exec + 1
+
     def observe(self, cycle: int) -> Optional[Tuple[str, Optional[int]]]:
         """Availability check for this cycle; returns ``(reason, lapsed budget
         or None)`` and freezes the monitor when an error fires.  A frozen
         monitor ends the run, so nothing calls the monitor after that."""
         reason, budget = self._bus_fault, None
         if reason is None:
-            if (
-                self.sync_state is SyncState.GATHERING
-                and cycle > self.sessions[-1].gather_cycle + self.config.t_gather
-            ):
-                reason, budget = "gather_timeout", self.config.t_gather
-            elif (
-                self.sync_state in (SyncState.LOCKSTEP, SyncState.RELEASING)
-                and cycle > self.sessions[-1].lockstep_cycle + self.config.t_exec
-            ):
-                reason, budget = "exec_timeout", self.config.t_exec
-            else:
+            deadline = self.deadline
+            if deadline is None or cycle < deadline:
                 return None
+            if self.sync_state is SyncState.GATHERING:
+                reason, budget = "gather_timeout", self.config.t_gather
+            else:
+                reason, budget = "exec_timeout", self.config.t_exec
         self.frozen = True
         self.sessions[-1].outcome = reason
         return reason, budget

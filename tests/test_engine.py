@@ -8,6 +8,7 @@ regardless of group size."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from lockstepsim import (
     LS_RAM_BASE,
     LS_RAM_LAST,
     Compute,
+    FaultEngine,
     Halt,
     MoonConfig,
     ProcessingBlock,
@@ -411,6 +413,16 @@ def test_majority_outvotes_a_silent_member_at_exit():
     assert report.cycles_run == 16
 
 
+def test_held_exit_reads_are_voted_every_cycle_while_no_block_acts():
+    """Without a spare, no block acts after the partners' exit reads at 8:
+    the silent member and both partners wait for answers.  The held exit
+    reads are still voted in every cycle up to the execution timeout at 16."""
+    report = run(silenced_member_scenario(3, 3, 2))
+    assert [e.cycle for e in report.trace if e.kind == "vote"] == [4] + list(range(8, 17))
+    assert report.masked_fault_cycles == 9
+    assert report.sessions[0]["outcome"] == "exec_timeout"
+
+
 # -- termination --------------------------------------------------------------------------
 
 
@@ -438,6 +450,23 @@ def test_request_against_halted_blocks_times_out():
     assert len(errors) == 1
     assert errors[0].detail["reason"] == "gather_timeout"
     assert errors[0].cycle == 5 + scenario.moon.t_gather + 1
+
+
+def test_execution_budget_lapses_inside_a_safe_compute():
+    """fig5's pair is admitted at 5 and computes 50 cycles in the safe
+    program; its execution budget of 10 lapses at 16 while both members
+    sleep, with no transaction on the voted bus."""
+    fig5 = load_scenario_file(str(SCENARIO_DIR / "fig5.scn"))
+    scenario = dataclasses.replace(
+        fig5,
+        safe_program=(Write(LS_RAM_BASE, 1), Compute(50), Read(LS_RAM_BASE)),
+        moon=dataclasses.replace(fig5.moon, t_exec=10),
+    )
+    report = run(scenario)
+    errors = [(e.cycle, e.detail) for e in report.trace if e.kind == "availability_error"]
+    assert errors == [(16, {"reason": "exec_timeout", "budget": 10})]
+    assert report.sessions[0]["lockstep_cycle"] == 5
+    assert (report.final_state, report.cycles_run) == ("safe_state", 16)
 
 
 # -- blocks asleep until they have input --------------------------------------------
@@ -470,6 +499,26 @@ def test_irq_latched_inside_a_compute_is_read_after_its_last_tick():
     assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
     assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
     audit_event_order(report.trace)
+
+
+def test_irq_delivered_inside_a_compute_is_read_after_its_last_tick():
+    """The IRQ latencies put the latches of blocks 0 and 2 at 17 and 40, in
+    the middle of their Compute(50); they are read at its end all the same."""
+    scenario = sleeper_scenario()
+    scenario.irq_latency = [7, 0, 30]
+    report = run(scenario)
+    assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
+    assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
+
+
+def test_a_no_show_keeps_the_latch_raised_before_it():
+    """Modelling choice: a no-show ignores only the IRQs raised after it
+    activates.  Block 1 turns no-show at 20, after the latch at 10, and still
+    shows up at the end of its compute."""
+    report = run(sleeper_scenario(faults=[FaultSpec(target=1, kind=FaultKind.NO_SHOW, at_cycle=20)]))
+    assert [(e.cycle, e.entity) for e in report.trace if e.kind == "fault_applied"] == [(20, 1)]
+    assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
+    assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
 
 
 def test_faults_activated_inside_a_compute_act_at_its_boundary():
@@ -551,6 +600,33 @@ def test_a_start_jitter_activated_during_another_delays_the_next_latch():
     ]
 
 
+def test_a_latch_raised_in_the_cycle_of_a_sync_read_outlives_the_session():
+    """Modelling choice: an IRQ latched in the cycle a block issues its sync
+    read stays latched through the session it joins.  Block 2 leaves its
+    Compute(12) at 14 and reads on the first session's latch; the second
+    request, also at 14, latches it again.  Admitted at 15 and released at
+    22, it reads again on that latch at 23, when no session is open."""
+    scenario = group_scenario(
+        n_blocks=3,
+        n=2,
+        m=2,
+        safe_program=[Write(LS_RAM_BASE, 7), Compute(5)],
+        triggers=[ExternalTrigger(c, TriggerSource.EXTERNAL_IN_SCOPE) for c in (5, 14)],
+        max_cycles=80,
+    )
+    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)]
+    scenario.programs.append([Compute(1), Compute(12)] + [Compute(1)] * 30 + [Halt()])
+    report = run(scenario)
+    assert [e.cycle for e in report.trace if e.kind == "irq_assert"] == [5, 14]
+    assert block_answers(report.trace, 2) == [
+        (14, "sync_read", None),
+        (15, "accept", None),
+        (23, "sync_read", None),
+        (23, "reject", "no_session"),
+    ]
+    assert [(s["accepted"], s["release_cycle"]) for s in report.sessions] == [([0, 1], 13), ([0, 2], 22)]
+
+
 def run_counting_ticks(monkeypatch, scenario):
     """Run ``scenario``; return its world and the cycles each block was ticked in."""
     world = World(scenario)
@@ -588,6 +664,37 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
     assert ticks == {0: [1, 2, 3, 4], 1: [1, 2, 3, 4, 5, 8], 2: [1, 2, 3, 4, 5, 8], 3: [1, 3, 4]}
     assert world.monitor.sessions[0].outcome == "exec_timeout"
     assert world.cycle == 16
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_step_and_soak_noise_run_once_per_cycle_while_blocks_sleep(monkeypatch, noise):
+    """Most cycles of the sleeper run have no input but soak noise.  Each
+    still costs one ``World.step`` call, and one ``stochastic_flips`` call
+    when there is noise; the upsets drawn in them are emitted in phase 1 of
+    their own cycle."""
+    scenario = sleeper_scenario()
+    scenario.noise_flip_probability = noise
+    world = World(scenario)
+    steps, draws = [], []
+    step, flips = World.step, FaultEngine.stochastic_flips
+
+    def counted_step(self):
+        steps.append(self.cycle + 1)
+        step(self)
+
+    def counted_flips(self, cycle, blocks):
+        draws.append(cycle)
+        flips(self, cycle, blocks)
+
+    monkeypatch.setattr(World, "step", counted_step)
+    monkeypatch.setattr(FaultEngine, "stochastic_flips", counted_flips)
+    world.run()
+    cycles = list(range(1, world.cycle + 1))
+    assert world.cycle > 52 and steps == cycles
+    assert draws == (cycles if noise else [])
+    upsets = [e for e in world.trace if e.detail.get("window") == "stochastic"]
+    assert all(e.phase == 1 for e in upsets)
+    assert bool(noise) == any(2 < e.cycle < 52 and e.cycle != 10 for e in upsets)
 
 
 @pytest.mark.parametrize("bit", [16, 31])  # into system RAM, out of every region

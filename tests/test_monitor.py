@@ -298,6 +298,7 @@ def test_reported_bus_fault_is_raised_on_its_cycle_only():
 def test_gather_timeout_fires_one_cycle_past_budget():
     mon = monitor(n=3, t_gather=4)
     mon.request_sp(10)
+    assert mon.deadline == 15
     for c in range(11, 15):
         assert mon.observe(c) is None
     assert mon.observe(15) == ("gather_timeout", 4)  # 10 + 4 + 1
@@ -311,6 +312,7 @@ def test_exec_timeout_covers_lockstep_and_releasing():
     enter(mon, range(3), 2)
     mon.finalize_release([0], 4)  # releasing, but block 1 and 2 never exit
     assert mon.sync_state is SyncState.RELEASING
+    assert mon.deadline == 8
     for c in range(3, 8):
         assert mon.observe(c) is None
     assert mon.observe(8) == ("exec_timeout", 5)  # 2 + 5 + 1, budget not restarted
@@ -319,5 +321,6 @@ def test_exec_timeout_covers_lockstep_and_releasing():
 
 def test_idle_monitor_never_times_out():
     mon = monitor(t_gather=1, t_exec=1)
+    assert mon.deadline is None
     for c in range(1, 30):
         assert mon.observe(c) is None
