@@ -66,7 +66,6 @@ from .scenario import (  # noqa: E402
     parse_instruction,
     scenario_digest,
     serialize_scenario,
-    validate_scenario,
 )
 from .trace import (  # noqa: E402
     IOFailure,
@@ -132,7 +131,6 @@ __all__ = [
     "load_scenario",
     "load_scenario_file",
     "parse_instruction",
-    "validate_scenario",
     "serialize_scenario",
     "scenario_digest",
     # trace

@@ -63,7 +63,7 @@ from .block import BlockState, ProcessingBlock, TriggerSource
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
-from .scenario import Scenario, check_int, check_seed, scenario_digest, validate_scenario
+from .scenario import Scenario, check_int, check_seed, scenario_digest
 from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
 
@@ -94,7 +94,6 @@ class World:
     """All mutable state of one simulation; independent worlds never share."""
 
     def __init__(self, scenario: Scenario, seed: Optional[int] = None, trace_enabled: bool = True):
-        validate_scenario(scenario)
         self.scenario = scenario
         self.effective_seed = scenario.seed if seed is None else check_seed(seed, "seed override")
         rng = random.Random(self.effective_seed)

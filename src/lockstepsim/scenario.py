@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
 import yaml
 
@@ -98,22 +99,38 @@ class Flags:
     random_selection: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A checked, immutable world: ``validate_scenario`` runs once per build,
+    ``dataclasses.replace`` included, and sequences are stored as tuples."""
+
     name: str
     seed: int
     n_blocks: int
     moon: MoonConfig
     boot_check: str
-    programs: List[List[Instruction]]
-    safe_program: List[Instruction]
-    triggers: List[ExternalTrigger] = field(default_factory=list)
-    faults: List[FaultSpec] = field(default_factory=list)
+    programs: Tuple[Tuple[Instruction, ...], ...]
+    safe_program: Tuple[Instruction, ...]
+    triggers: Tuple[ExternalTrigger, ...] = ()
+    faults: Tuple[FaultSpec, ...] = ()
     max_cycles: int = 1000
-    flags: Flags = field(default_factory=Flags)
-    irq_latency: Optional[List[int]] = None
+    flags: Flags = Flags()
+    irq_latency: Optional[Tuple[int, ...]] = None
     # seeded soak mode: per-block per-cycle chance of a random data-bit upset
     noise_flip_probability: float = 0.0
+
+    def __post_init__(self):
+        validate_scenario(self)
+        store = partial(object.__setattr__, self)
+        store("programs", tuple(map(tuple, self.programs)))
+        for key in ("safe_program", "triggers"):
+            store(key, tuple(getattr(self, key)))
+        faults = (f if f.program is None else replace(f, program=tuple(f.program)) for f in self.faults)
+        store("faults", tuple(faults))
+        if self.irq_latency is not None:
+            store("irq_latency", tuple(self.irq_latency))
+        # within 0..1 now, so an integer too large for a float cannot reach float()
+        store("noise_flip_probability", float(self.noise_flip_probability))
 
 
 # -- instruction text ----------------------------------------------------------
@@ -299,8 +316,8 @@ def _enum_or_raw(enum: type, value):
 
 
 def scenario_from_dict(doc: Dict) -> Scenario:
-    """Build a scenario from a document; ``validate_scenario`` checks the
-    values the document gave."""
+    """Build a scenario from a document's shape; the ``Scenario`` it builds
+    checks the values the document gave."""
     _mapping(doc, "", _SCENARIO_KEYS)
     for key in ("name", "seed", "n_blocks", "moon", "programs", "safe_program"):
         _require(doc, key, "")
@@ -326,7 +343,7 @@ def scenario_from_dict(doc: Dict) -> Scenario:
 
     flags_doc = _mapping(_optional_field(doc, "flags", dict), "flags", _FLAG_KEYS)
     noise_doc = _mapping(_optional_field(doc, "noise", dict), "noise", _NOISE_KEYS)
-    scenario = Scenario(
+    return Scenario(
         name=doc["name"],
         seed=doc["seed"],
         n_blocks=doc["n_blocks"],
@@ -341,10 +358,6 @@ def scenario_from_dict(doc: Dict) -> Scenario:
         irq_latency=doc.get("irq_latency"),
         noise_flip_probability=noise_doc.get("flip_probability", 0.0),
     )
-    validate_scenario(scenario)
-    # within 0..1 now, so an integer too large for a float cannot reach float()
-    scenario.noise_flip_probability = float(scenario.noise_flip_probability)
-    return scenario
 
 
 def _fault_from_dict(fdoc, i: int) -> FaultSpec:
@@ -354,7 +367,7 @@ def _fault_from_dict(fdoc, i: int) -> FaultSpec:
     kind = _enum_or_raw(FaultKind, _require(fdoc, "kind", where + "."))
     program = None
     if fdoc.get("program") is not None:
-        program = tuple(_program(fdoc["program"], f"{where}.program"))
+        program = _program(fdoc["program"], f"{where}.program")
     numbers = {key: fdoc[key] for key in _FAULT_NUMBERS if fdoc.get(key) is not None}
     return FaultSpec(target=target, kind=kind, program=program, **numbers)
 

@@ -28,7 +28,7 @@ from .bus import IO_BASE, LS_RAM_BASE
 from .engine import Report, run
 from .faults import FaultKind, FaultSpec
 from .monitor import InvalidConfig, MoonConfig
-from .scenario import Flags, Scenario, ValidationError, _int_field, _mapping, parse_yaml, read_text
+from .scenario import Scenario, ValidationError, _int_field, _mapping, parse_yaml, read_text
 
 DEFAULT_SAFE_PROGRAM: Tuple[Instruction, ...] = (
     Write(LS_RAM_BASE, 7),
@@ -103,11 +103,8 @@ def build_rendezvous_scenario(
         boot_check="pass",
         programs=programs,
         safe_program=(Write(LS_RAM_BASE, 1), Read(LS_RAM_BASE)),
-        triggers=(),
-        faults=(),
         max_cycles=80,
-        flags=Flags(),
-        irq_latency=tuple(irq_latency),
+        irq_latency=irq_latency,
     )
 
 
@@ -129,10 +126,8 @@ def build_masking_scenario(
         boot_check="pass",
         programs=programs,
         safe_program=DEFAULT_SAFE_PROGRAM,
-        triggers=(),
-        faults=tuple(faults),
+        faults=faults,
         max_cycles=60,
-        flags=Flags(),
     )
 
 

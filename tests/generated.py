@@ -132,18 +132,18 @@ def wide_scenario(index: int) -> Scenario:
     base = random_scenario(index)
     rng = random.Random(1_000_000 + index)
     extra = rng.randint(1, base.moon.n_required + 2)
-    latencies = base.irq_latency or [0] * base.n_blocks
+    latencies = base.irq_latency or (0,) * base.n_blocks
     return replace(
         base,
         name=f"wide-{index}",
         n_blocks=base.n_blocks + extra,
-        programs=base.programs + [normal_program(rng, rng.random() < 0.5) for _ in range(extra)],
+        programs=base.programs + tuple(normal_program(rng, rng.random() < 0.5) for _ in range(extra)),
         triggers=sorted(
-            base.triggers + external_triggers(rng, rng.randint(0, 6), 80), key=lambda t: t.cycle
+            base.triggers + tuple(external_triggers(rng, rng.randint(0, 6), 80)), key=lambda t: t.cycle
         ),
         max_cycles=160,
         flags=Flags(random_selection=rng.random() < 0.5),
-        irq_latency=latencies + [rng.randint(0, 6) for _ in range(extra)],
+        irq_latency=latencies + tuple(rng.randint(0, 6) for _ in range(extra)),
     )
 
 

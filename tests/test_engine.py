@@ -131,8 +131,7 @@ def test_boot_emits_configuration_and_state():
 
 
 def test_failed_boot_check_goes_straight_to_safe_state():
-    scenario = group_scenario()
-    scenario.boot_check = "fail"
+    scenario = dataclasses.replace(group_scenario(), boot_check="fail")
     report = run(scenario)
     assert report.final_state == "safe_state"
     assert report.cycles_run == 0
@@ -141,8 +140,7 @@ def test_failed_boot_check_goes_straight_to_safe_state():
 
 
 def test_step_after_safe_state_is_an_internal_error():
-    scenario = group_scenario()
-    scenario.boot_check = "fail"
+    scenario = dataclasses.replace(group_scenario(), boot_check="fail")
     world = World(scenario)
     with pytest.raises(SimInternalError):
         world.step()
@@ -198,7 +196,10 @@ def test_rejected_requester_resumes_and_finishes_its_program():
     # the requester's own program writes to system RAM after the trigger, so
     # the write proves the resume really happened at the saved pc
     scenario = group_scenario(n_blocks=3, n=2, m=2, irq_latency=[5, 0, 0])
-    scenario.programs[0][2] = Write(0x44, 123)
+    requester = scenario.programs[0]
+    scenario = dataclasses.replace(
+        scenario, programs=(requester[:2] + (Write(0x44, 123),) + requester[3:],) + scenario.programs[1:]
+    )
     world = World(scenario)
     world.run()
     session = world.monitor.sessions[0]
@@ -288,9 +289,9 @@ def test_back_to_back_sessions_reuse_the_monitor(n_blocks, n):
         ],
         max_cycles=120,
     )
-    scenario.programs = [
-        [Compute(1)] * 40 + [Halt()] for _ in range(n_blocks)
-    ]
+    scenario = dataclasses.replace(
+        scenario, programs=[[Compute(1)] * 40 + [Halt()] for _ in range(n_blocks)]
+    )
     report = run(scenario)
     assert len(report.sessions) == 2
     assert report.sessions_completed == 2
@@ -325,9 +326,11 @@ def test_session_requested_and_admitted_in_one_cycle_passes_through_synchronizin
         ],
         max_cycles=80,
     )
-    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)] + [
-        [Compute(1), Compute(20)] + [Compute(1)] * 20 + [Halt()] for _ in range(2)
-    ]
+    scenario = dataclasses.replace(
+        scenario,
+        programs=[[Compute(1)] * 40 + [Halt()] for _ in range(2)]
+        + [[Compute(1), Compute(20)] + [Compute(1)] * 20 + [Halt()] for _ in range(2)],
+    )
     report = run(scenario)
     second = report.sessions[1]
     assert (second["gather_cycle"], second["lockstep_cycle"]) == (22, 22)
@@ -360,9 +363,10 @@ def test_group_exiting_together_is_released_in_one_arc():
 def test_exit_read_and_availability_error_in_one_cycle():
     # block 1 skips the whole safe program and exits while block 0 writes
     scenario = group_scenario(n_blocks=4, n=2, m=2)
-    scenario.faults = [
-        FaultSpec(target=1, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[])
-    ]
+    scenario = dataclasses.replace(
+        scenario,
+        faults=[FaultSpec(target=1, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[])],
+    )
     report = run(scenario)
     session = report.sessions[0]
     assert session["accepted"] == [0, 1]
@@ -385,8 +389,7 @@ def silenced_member_scenario(n_blocks, n, m):
     scenario = build_masking_scenario(
         n_blocks, n, m, faults=[FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_safe_instr=1)]
     )
-    scenario.safe_program = (Write(LS_RAM_BASE, 7), Compute(3))
-    return scenario
+    return dataclasses.replace(scenario, safe_program=(Write(LS_RAM_BASE, 7), Compute(3)))
 
 
 def test_comparison_fails_at_the_partners_exit_read_when_a_member_is_silent():
@@ -427,8 +430,7 @@ def test_held_exit_reads_are_voted_every_cycle_while_no_block_acts():
 
 
 def test_all_halted_ends_the_run():
-    scenario = group_scenario()
-    scenario.programs = [[Compute(2), Halt()] for _ in range(3)]
+    scenario = dataclasses.replace(group_scenario(), programs=[[Compute(2), Halt()] for _ in range(3)])
     report = run(scenario)
     assert report.end_reason == "all_halted"
     assert report.trace[-1].kind == "halt"
@@ -443,7 +445,7 @@ def test_request_against_halted_blocks_times_out():
         triggers=[ExternalTrigger(5, TriggerSource.EXTERNAL_IN_SCOPE)],
         max_cycles=40,
     )
-    scenario.programs = [[Halt()] for _ in range(3)]
+    scenario = dataclasses.replace(scenario, programs=[[Halt()] for _ in range(3)])
     report = run(scenario)
     assert report.final_state == "safe_state"
     errors = [e for e in report.trace if e.kind == "availability_error"]
@@ -484,10 +486,12 @@ def sleeper_scenario(faults=()):
         triggers=[ExternalTrigger(10, TriggerSource.EXTERNAL_IN_SCOPE)],
         max_cycles=120,
     )
-    scenario.programs = [[Compute(1), Compute(50)] + [Compute(1)] * 30 + [Halt()] for _ in range(3)]
-    scenario.moon = MoonConfig(n_required=2, m_agree=2, t_gather=60, t_exec=20)
-    scenario.faults = list(faults)
-    return scenario
+    return dataclasses.replace(
+        scenario,
+        programs=[[Compute(1), Compute(50)] + [Compute(1)] * 30 + [Halt()] for _ in range(3)],
+        moon=MoonConfig(n_required=2, m_agree=2, t_gather=60, t_exec=20),
+        faults=faults,
+    )
 
 
 def sync_read_cycles(trace):
@@ -504,8 +508,7 @@ def test_irq_latched_inside_a_compute_is_read_after_its_last_tick():
 def test_irq_delivered_inside_a_compute_is_read_after_its_last_tick():
     """The IRQ latencies put the latches of blocks 0 and 2 at 17 and 40, in
     the middle of their Compute(50); they are read at its end all the same."""
-    scenario = sleeper_scenario()
-    scenario.irq_latency = [7, 0, 30]
+    scenario = dataclasses.replace(sleeper_scenario(), irq_latency=[7, 0, 30])
     report = run(scenario)
     assert sync_read_cycles(report.trace) == {0: 52, 1: 52, 2: 52}
     assert (report.sessions[0]["lockstep_cycle"], report.sessions[0]["accepted"]) == (52, [0, 1])
@@ -539,6 +542,14 @@ def test_faults_activated_inside_a_compute_act_at_its_boundary():
     assert report.sessions_completed == 1
 
 
+def late_third_programs():
+    """Blocks 0 and 1 compute in steps of 1; block 2 is inside a Compute(12)
+    from cycle 2 to 13."""
+    return [[Compute(1)] * 40 + [Halt()] for _ in range(2)] + [
+        [Compute(1), Compute(12)] + [Compute(1)] * 30 + [Halt()]
+    ]
+
+
 def jitter_scenario(faults):
     """Blocks 0 and 1 form a 2-of-2 group; block 2 is inside a Compute(12)
     from cycle 2 to 13.  The trigger at 5 latches every IRQ; the group runs
@@ -553,11 +564,8 @@ def jitter_scenario(faults):
         triggers=[ExternalTrigger(c, TriggerSource.EXTERNAL_IN_SCOPE) for c in (5, 15)],
         max_cycles=80,
     )
-    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)]
-    scenario.programs.append([Compute(1), Compute(12)] + [Compute(1)] * 30 + [Halt()])
     first = FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=3, delay=5)
-    scenario.faults = [first] + faults
-    return scenario
+    return dataclasses.replace(scenario, programs=late_third_programs(), faults=[first] + faults)
 
 
 def block_answers(trace, block):
@@ -614,9 +622,7 @@ def test_a_latch_raised_in_the_cycle_of_a_sync_read_outlives_the_session():
         triggers=[ExternalTrigger(c, TriggerSource.EXTERNAL_IN_SCOPE) for c in (5, 14)],
         max_cycles=80,
     )
-    scenario.programs = [[Compute(1)] * 40 + [Halt()] for _ in range(2)]
-    scenario.programs.append([Compute(1), Compute(12)] + [Compute(1)] * 30 + [Halt()])
-    report = run(scenario)
+    report = run(dataclasses.replace(scenario, programs=late_third_programs()))
     assert [e.cycle for e in report.trace if e.kind == "irq_assert"] == [5, 14]
     assert block_answers(report.trace, 2) == [
         (14, "sync_read", None),
@@ -643,8 +649,10 @@ def run_counting_ticks(monkeypatch, scenario):
 
 
 def test_blocks_sleep_through_their_computes(monkeypatch):
-    scenario = group_scenario(max_cycles=30_000)
-    scenario.programs = [[Compute(10_000), Compute(10_000), Halt()] for _ in range(3)]
+    scenario = dataclasses.replace(
+        group_scenario(max_cycles=30_000),
+        programs=[[Compute(10_000), Compute(10_000), Halt()] for _ in range(3)],
+    )
     world, ticks = run_counting_ticks(monkeypatch, scenario)
     assert (world.end_reason, world.cycle) == ("all_halted", 20_001)
     assert ticks == {b: [1, 10_001, 20_001] for b in range(3)}
@@ -658,8 +666,11 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
     scenario = build_masking_scenario(
         4, 3, 2, faults=[FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_safe_instr=0)]
     )
-    scenario.safe_program = (Write(LS_RAM_BASE, 7), Compute(3))
-    scenario.programs[3] = [Compute(2), Halt()]
+    scenario = dataclasses.replace(
+        scenario,
+        safe_program=(Write(LS_RAM_BASE, 7), Compute(3)),
+        programs=scenario.programs[:3] + ((Compute(2), Halt()),),
+    )
     world, ticks = run_counting_ticks(monkeypatch, scenario)
     assert ticks == {0: [1, 2, 3, 4], 1: [1, 2, 3, 4, 5, 8], 2: [1, 2, 3, 4, 5, 8], 3: [1, 3, 4]}
     assert world.monitor.sessions[0].outcome == "exec_timeout"
@@ -672,8 +683,7 @@ def test_step_and_soak_noise_run_once_per_cycle_while_blocks_sleep(monkeypatch, 
     still costs one ``World.step`` call, and one ``stochastic_flips`` call
     when there is noise; the upsets drawn in them are emitted in phase 1 of
     their own cycle."""
-    scenario = sleeper_scenario()
-    scenario.noise_flip_probability = noise
+    scenario = dataclasses.replace(sleeper_scenario(), noise_flip_probability=noise)
     world = World(scenario)
     steps, draws = [], []
     step, flips = World.step, FaultEngine.stochastic_flips
@@ -717,9 +727,11 @@ def test_agreeing_corrupt_addresses_are_a_modelled_bus_error(bit):
 
 
 def test_max_cycles_caps_the_run():
-    scenario = group_scenario()
-    scenario.programs = [[Compute(1)] * 200 for _ in range(3)]  # never halts
-    scenario.triggers = []
+    scenario = dataclasses.replace(
+        group_scenario(),
+        programs=[[Compute(1)] * 200 for _ in range(3)],  # never halts
+        triggers=(),
+    )
     report = run(scenario, max_cycles=17)
     assert report.cycles_run == 17
     assert report.end_reason == "max_cycles"
@@ -729,7 +741,7 @@ def test_open_session_at_cycle_cap_is_reported_incomplete():
     scenario = group_scenario(
         triggers=[ExternalTrigger(2, TriggerSource.EXTERNAL_IN_SCOPE)]
     )
-    scenario.programs = [[Compute(1)] * 200 for _ in range(3)]
+    scenario = dataclasses.replace(scenario, programs=[[Compute(1)] * 200 for _ in range(3)])
     report = run(scenario, max_cycles=4)  # stops mid-session
     assert report.sessions[0]["outcome"] == "incomplete"
 
@@ -775,6 +787,17 @@ def test_scenario_digest_is_computed_on_first_read_only(monkeypatch):
     assert report.to_json() == first
     assert len(calls) == 1
     assert json.loads(first)["scenario_hash"] == scenario_digest(scenario)
+
+
+def test_the_report_digest_is_of_the_scenario_that_ran():
+    scenario = load_scenario_file(str(SCENARIO_DIR / "fig5.scn"))
+    report = run(scenario)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.name = "renamed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.seed = 999
+    assert (report.scenario_name, report.effective_seed) == ("fig5", 1)
+    assert report.scenario_hash == scenario_digest(scenario)
 
 
 # -- structural audits over every bundled scenario ----------------------------------------------

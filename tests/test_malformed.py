@@ -204,7 +204,7 @@ def built_cases():
 def test_a_wrong_field_of_a_built_scenario_is_rejected(name, value, path):
     scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
     with pytest.raises(ValidationError) as exc:
-        run(replace(scenario, **{name: value}))
+        replace(scenario, **{name: value})
     assert exc.value.field_path == path
 
 

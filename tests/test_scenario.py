@@ -1,29 +1,35 @@
 """Scenario text format: parsing, validation errors with located field paths,
-and the serialize/load round trip."""
+the serialize/load round trip, and the checked, immutable value a scenario is."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 import yaml
 
+import lockstepsim.scenario as scenario_module
+from generated import random_scenario
 from lockstepsim import (
     Compute,
     FaultKind,
+    FaultSpec,
     Flags,
     Halt,
     ParseError,
     Read,
+    Scenario,
     ScenarioError,
     TriggerSource,
     TriggerSP,
     ValidationError,
+    World,
     Write,
     load_scenario,
     load_scenario_file,
     parse_instruction,
+    run,
     scenario_digest,
     serialize_scenario,
 )
@@ -228,7 +234,7 @@ def test_null_optional_fields_are_absent():
     s = load_scenario(variant(flags=None, noise=None, triggers=None, faults=None))
     assert s.flags.random_selection is False
     assert s.noise_flip_probability == 0.0
-    assert (s.triggers, s.faults) == ([], [])
+    assert (s.triggers, s.faults) == ((), ())
 
 
 def test_n_blocks_below_n_required_names_n_blocks():
@@ -413,3 +419,63 @@ def test_fig5_shape():
     s = bundled("fig5.scn")
     assert s.n_blocks == 3
     assert (s.moon.n_required, s.moon.m_agree) == (2, 2)
+
+
+# -- a scenario is a checked, immutable value ------------------------------------------
+
+
+def built_and_loaded():
+    yield bundled("fig5.scn")
+    yield from sweep_scenarios()
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(Scenario)])
+def test_a_field_of_a_built_or_loaded_scenario_cannot_be_assigned(field):
+    for s in built_and_loaded():
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, field, getattr(s, field))
+
+
+def test_a_world_runs_the_scenario_it_was_given():
+    s = bundled("fig5.scn")
+    world = World(s)
+    with pytest.raises(FrozenInstanceError):
+        s.max_cycles = 2.5
+    world.run()
+    assert s.max_cycles == 60 and world.cycle <= 60
+
+
+def test_sequence_fields_are_tuples():
+    s = random_scenario(7)  # built from lists
+    assert s.irq_latency is not None and s.triggers and s.faults
+    for value in (s.programs, *s.programs, s.safe_program, s.triggers, s.faults, s.irq_latency):
+        assert type(value) is tuple
+    with pytest.raises(TypeError):
+        s.programs[0][0] = Halt()
+    with pytest.raises(TypeError):
+        bundled("fig5.scn").programs[0][0] = Halt()
+    divergent = FaultSpec(target=0, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[])
+    assert build_masking_scenario(3, 3, 2, faults=[divergent]).faults[0].program == ()
+
+
+def test_an_integer_noise_probability_is_stored_as_a_float():
+    s = replace(bundled("fig5.scn"), noise_flip_probability=1)
+    assert type(s.noise_flip_probability) is float
+    assert scenario_to_dict(s)["noise"] == {"flip_probability": 1.0}
+
+
+def test_a_scenario_is_validated_once_when_it_is_built(monkeypatch):
+    calls = []
+    validate = scenario_module.validate_scenario
+
+    def counted(s):
+        calls.append(s.name)
+        validate(s)
+
+    monkeypatch.setattr(scenario_module, "validate_scenario", counted)
+    s = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    assert calls == ["fig5"]
+    run(s)
+    assert calls == ["fig5"]
+    replace(s, seed=2)
+    assert calls == ["fig5", "fig5"]
