@@ -19,6 +19,12 @@ A second pinned digest covers ``generated.wide_scenario`` indexes 0-199,
 traced and untraced: spare blocks, IRQ latencies up to 6, more triggers and
 random selection.  It was taken before the engine began to tick a block only
 when it has input (the end of a sleep or an answer), and holds since.
+
+A third pinned digest covers the sweeps themselves: every point's params,
+verdict and complaint in order, and the serialized scenario and run arguments
+of every run a sweep makes (the reference run too), recorded by rebinding the
+sweep module's ``run``.  It was taken before the arrival and fault sweeps were
+folded into one point loop.
 """
 
 from __future__ import annotations
@@ -28,11 +34,15 @@ import itertools
 from pathlib import Path
 
 from generated import random_scenario, run_unless_unmapped, wide_scenario
+import lockstepsim.sweep
 from lockstepsim import Scenario, emit_trace, load_scenario_file
+from lockstepsim.scenario import serialize_scenario
 from lockstepsim.sweep import (
     DEFAULT_SAFE_PROGRAM,
+    arrival_sweep,
     build_masking_scenario,
     build_rendezvous_scenario,
+    fault_sweep,
     placement_catalog,
 )
 
@@ -45,6 +55,10 @@ CORPUS_LEFT_OUT = 4
 WIDE_SHA256 = "e0d1cde3378f82807d9ba3ae2dbc571ba6090a9237b212e32915ff4a16a4f356"
 WIDE_HASHED = 394
 WIDE_LEFT_OUT = 6
+
+SWEEP_SHA256 = "acb95e4e9e6d0fb08fb38807e582ffcff50f328b27ebaee81494ff22ec6dfcd8"
+SWEEP_RUNS = 392
+SWEEP_POINTS = 388
 
 
 def corpus():
@@ -96,3 +110,30 @@ def test_wide_corpus_hash_is_pinned():
         for index in range(200)
     )
     assert pinned_digest(runs) == (WIDE_SHA256, WIDE_HASHED, WIDE_LEFT_OUT)
+
+
+def test_sweep_hash_is_pinned(monkeypatch):
+    digest = hashlib.sha256()
+    inner = lockstepsim.sweep.run
+    runs = 0
+
+    def recording(scenario, seed=None, max_cycles=None, trace_enabled=True):
+        nonlocal runs
+        runs += 1
+        digest.update(repr((serialize_scenario(scenario), seed, max_cycles, trace_enabled)).encode())
+        return inner(scenario, seed=seed, max_cycles=max_cycles, trace_enabled=trace_enabled)
+
+    monkeypatch.setattr(lockstepsim.sweep, "run", recording)
+    sweeps = (
+        lambda: fault_sweep(3, 2, 1, 1),
+        lambda: fault_sweep(3, 2, 1, 2, "representative"),
+        lambda: fault_sweep(5, 3, 2, 1),
+        lambda: fault_sweep(3, 3, 1, 1),  # 24 of its 54 points fail
+        lambda: arrival_sweep(3, 2, 2, 3),
+    )
+    points = 0
+    for sweep in sweeps:
+        for point in sweep().points:
+            points += 1
+            digest.update(repr((point.params, point.ok, point.detail)).encode())
+    assert (digest.hexdigest(), runs, points) == (SWEEP_SHA256, SWEEP_RUNS, SWEEP_POINTS)
