@@ -48,8 +48,8 @@ from .monitor import InvalidConfig, MoonConfig
 
 
 def make_loader(base: type) -> type:
-    """``base`` locating a scalar its constructor cannot build, such as an
-    integer past Python's digit limit or a timestamp with month 13, at its node."""
+    """``base`` locating a scalar its constructor cannot build (an integer past
+    Python's digit limit, a timestamp with month 13) or a repeated mapping key."""
 
     class Loader(base):
         def construct_object(self, node, deep=False):
@@ -58,6 +58,19 @@ def make_loader(base: type) -> type:
             except ValueError as exc:
                 mark = node.start_mark
                 raise yaml.constructor.ConstructorError(None, None, str(exc), mark) from exc
+
+        def construct_mapping(self, node, deep=False):
+            # a key merged in by << may be overridden; the mapping's own may not repeat
+            own_keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            mapping = super().construct_mapping(node, deep)
+            seen = set()
+            for key_node in own_keys:  # each built, and found hashable, by the base
+                key = self.constructed_objects[key_node]
+                if key in seen:
+                    mark = key_node.start_mark
+                    raise ParseError(f"duplicate key: {key!r}", mark.line + 1, mark.column + 1)
+                seen.add(key)
+            return mapping
 
     return Loader
 
@@ -288,8 +301,11 @@ def parse_yaml(text: str, what: str) -> Dict:
         if mark.line < len(lines) and mark.column < len(lines[mark.line]):
             message += f": {lines[mark.line][mark.column]!r}"
         raise ParseError(message, mark.line + 1, mark.column + 1) from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(str(exc)) from exc
+    except (yaml.reader.ReaderError, UnicodeEncodeError) as exc:
+        # PyYAML counts characters, libyaml bytes; both stop at the char's first occurrence
+        char = exc.object[exc.start] if isinstance(exc, UnicodeEncodeError) else chr(exc.character)
+        lines = _YAML_LINE_BREAK.split(text[: text.index(char)])
+        raise ParseError(f"{exc.reason}: {char!r}", len(lines), len(lines[-1]) + 1) from exc
     if doc is None:
         raise ParseError(f"empty {what}")
     if not isinstance(doc, dict):

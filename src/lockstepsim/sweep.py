@@ -1,7 +1,7 @@
 """Parameter sweeps: rendezvous arrival orderings and fault masking.
 
-Two sweep families, both built from generated scenarios so every point is
-self-contained and reproducible:
+Two sweep families, each a stream of generated scenarios that one loop runs,
+checks and records, so every point is self-contained and reproducible:
 
 * Arrival sweep - for a group size N out of B blocks, enumerate per-block
   IRQ latencies and check the admission rule on every ordering: exactly N
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .block import Compute, Halt, Instruction, Read, TriggerSP, TriggerSource, Write
 from .bus import IO_BASE, LS_RAM_BASE
@@ -76,13 +76,21 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# scenario builders
+# scenario builders and the point loop
 # ---------------------------------------------------------------------------
 
 
-def _padded_program(lead: Sequence[Instruction], total: int) -> Tuple[Instruction, ...]:
-    pad = total - len(lead) - 1
-    return tuple(lead) + (Compute(1),) * pad + (Halt(),)
+def _group_scenario(n_blocks: int, length: int, **fields) -> Scenario:
+    """Programs ``length`` long; block 0 requests after one compute."""
+    idle = (Compute(1),) * (length - 1) + (Halt(),)
+    requester = (Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)) + idle[2:]
+    return Scenario(
+        seed=1,
+        n_blocks=n_blocks,
+        boot_check="pass",
+        programs=(requester,) + (idle,) * (n_blocks - 1),
+        **fields,
+    )
 
 
 def build_rendezvous_scenario(
@@ -93,17 +101,9 @@ def build_rendezvous_scenario(
     name: str = "rendezvous-sweep",
 ) -> Scenario:
     """Blocks at an instruction boundary every cycle; block 0 requests."""
-    programs = [_padded_program((Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)), 24)]
-    programs += [_padded_program((), 24) for _ in range(n_blocks - 1)]
-    return Scenario(
-        name=name,
-        seed=1,
-        n_blocks=n_blocks,
-        moon=MoonConfig(n_required=n_required, m_agree=m_agree, t_gather=15, t_exec=15),
-        boot_check="pass",
-        programs=programs,
-        safe_program=(Write(LS_RAM_BASE, 1), Read(LS_RAM_BASE)),
-        max_cycles=80,
+    return _group_scenario(
+        n_blocks, 24, name=name, moon=MoonConfig(n_required, m_agree, t_gather=15, t_exec=15),
+        safe_program=(Write(LS_RAM_BASE, 1), Read(LS_RAM_BASE)), max_cycles=80,
         irq_latency=irq_latency,
     )
 
@@ -116,19 +116,19 @@ def build_masking_scenario(
     name: str = "masking-sweep",
 ) -> Scenario:
     """Uniform zero-latency arrivals so the lowest block ids form the group."""
-    programs = [_padded_program((Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)), 16)]
-    programs += [_padded_program((), 16) for _ in range(n_blocks - 1)]
-    return Scenario(
-        name=name,
-        seed=1,
-        n_blocks=n_blocks,
-        moon=MoonConfig(n_required=n_required, m_agree=m_agree, t_gather=10, t_exec=12),
-        boot_check="pass",
-        programs=programs,
-        safe_program=DEFAULT_SAFE_PROGRAM,
-        faults=faults,
-        max_cycles=60,
+    return _group_scenario(
+        n_blocks, 16, name=name, moon=MoonConfig(n_required, m_agree, t_gather=10, t_exec=12),
+        safe_program=DEFAULT_SAFE_PROGRAM, max_cycles=60, faults=faults,
     )
+
+
+def _run_points(mode: str, points: Iterable, trace: bool, check: Callable) -> SweepResult:
+    """Run each (params, scenario) point and record ``check(report, params)``'s complaint."""
+    result = SweepResult(mode=mode)
+    for params, scenario in points:
+        complaint = check(run(scenario, trace_enabled=trace), params)
+        result.points.append(SweepPoint(params=params, ok=not complaint, detail=complaint))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +201,16 @@ def arrival_sweep(
     m_agree: int,
     latency_max: int = 3,
 ) -> SweepResult:
-    result = SweepResult(mode="arrivals")
-    for latencies in itertools.product(range(latency_max + 1), repeat=n_blocks):
-        scenario = build_rendezvous_scenario(
-            n_blocks, n_required, m_agree, latencies,
-            name=f"arrivals-{n_blocks}b-{n_required}oo",
-        )
-        report = run(scenario)
-        complaint = check_arrival_point(report, latencies, n_required)
-        result.points.append(
-            SweepPoint(
-                params={"latencies": latencies},
-                ok=not complaint,
-                detail=complaint,
-            )
-        )
-    return result
+    name = f"arrivals-{n_blocks}b-{n_required}oo"
+    points = (
+        ({"latencies": latencies},
+         build_rendezvous_scenario(n_blocks, n_required, m_agree, latencies, name=name))
+        for latencies in itertools.product(range(latency_max + 1), repeat=n_blocks)
+    )
+    return _run_points(
+        "arrivals", points, True,
+        lambda report, params: check_arrival_point(report, params["latencies"], n_required),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,32 +279,20 @@ def fault_sweep(
     """
     n_blocks = n_required + spares
     reference = masking_reference(n_blocks, n_required, m_agree)
-    result = SweepResult(mode="faults")
-
-    def run_point(specs: Sequence[FaultSpec], labels: Sequence[str], targets: Sequence[int]) -> None:
-        scenario = build_masking_scenario(n_blocks, n_required, m_agree, faults=specs)
-        report = run(scenario, trace_enabled=False)
-        complaint = check_masking_point(report, reference)
-        result.points.append(
-            SweepPoint(
-                params={"targets": tuple(targets), "faults": tuple(labels)},
-                ok=not complaint,
-                detail=complaint,
-            )
-        )
-
     group = range(n_required)
     singles = {
         t: placement_catalog(t, len(DEFAULT_SAFE_PROGRAM), placements) for t in group
     }
-    for t in group:
-        for label, spec in singles[t]:
-            run_point((spec,), (label,), (t,))
-    if max_simultaneous >= 2:
-        for a, b in itertools.combinations(group, 2):
-            for (la, sa), (lb, sb) in itertools.product(singles[a], singles[b]):
-                run_point((sa, sb), (la, lb), (a, b))
-    return result
+    points = (
+        ({"targets": targets, "faults": tuple(label for label, _ in picks)},
+         build_masking_scenario(n_blocks, n_required, m_agree, tuple(spec for _, spec in picks)))
+        for size in ((1, 2) if max_simultaneous >= 2 else (1,))
+        for targets in itertools.combinations(group, size)
+        for picks in itertools.product(*(singles[t] for t in targets))
+    )
+    return _run_points(
+        "faults", points, False, lambda report, params: check_masking_point(report, reference)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,14 @@ def test_validate_broken_scenario_exits_three(tmp_path, capsys):
     assert "name" in capsys.readouterr().err
 
 
+def test_validate_a_repeated_key_exits_three_with_its_location(tmp_path, capsys):
+    bad = tmp_path / "repeated.scn"
+    bad.write_text(FIG5_TEXT + "seed: 2\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == EXIT_SCENARIO_ERROR
+    line = FIG5_TEXT.count("\n") + 1
+    assert f"line {line}, column 1: duplicate key: 'seed'" in capsys.readouterr().err
+
+
 def test_validate_stops_at_the_first_failure(tmp_path, capsys):
     bad = tmp_path / "broken.scn"
     bad.write_text("nonsense: true\n")

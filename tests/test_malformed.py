@@ -24,6 +24,7 @@ from lockstepsim import (
     MoonConfig,
     Scenario,
     TriggerSource,
+    TriggerSP,
     run,
 )
 from lockstepsim.cli import EXIT_SCENARIO_ERROR, main
@@ -178,6 +179,7 @@ def built_cases():
         ("moon", MoonConfig(2, 2, 20, "x"), "moon.t_exec"),
         ("programs", [["x"]] * 3, "programs[0][0]"),
         ("programs", [[Compute("x")]] * 3, "programs[0][0].duration"),
+        ("programs", [[TriggerSP("x")]] * 3, "programs[0][0]"),
         ("programs", "x", "programs"),
         ("safe_program", "x", "safe_program"),
         ("safe_program", ["x"], "safe_program[0]"),

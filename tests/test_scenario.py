@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import lockstepsim.scenario as scenario_module
-from generated import random_scenario
+from generated import random_scenario, wide_scenario
 from lockstepsim import (
     Compute,
     FaultKind,
@@ -141,6 +141,9 @@ def test_yaml_syntax_error_carries_location():
         ("a: `x`\n", 1, 4, "`"),
         ("x: 1\r\nb: \u00e9\r\nc: [@]\n", 3, 5, "@"),
         ("name: x\nseed: 2001-13-01\n", 2, 7, "2"),  # a value the constructor cannot build
+        ("name: x\nseed: \x01\n", 2, 7, "\x01"),  # a character the reader rejects
+        ("name: \u00e9\u00e9\r\nseed: \x01\n", 2, 7, "\x01"),  # libyaml counts UTF-8 bytes
+        ("name: x\nseed: \ud800\n", 2, 7, "\ud800"),  # libyaml cannot encode a lone surrogate
     ],
 )
 @pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
@@ -151,10 +154,41 @@ def test_parse_error_location_is_exact(monkeypatch, loader, text, line, column, 
     message = str(exc.value)
     assert (exc.value.line, exc.value.column) == (line, column)
     assert message.startswith(f"line {line}, column {column}: ")
+    assert "\n" not in message
     if char is None:
         assert not message.endswith("'")
     else:
         assert message.endswith(f": {char!r}")
+
+
+@pytest.mark.parametrize(
+    "text,line,column,key",
+    [
+        ("name: x\nseed: 1\nseed: 2\n", 3, 1, "'seed'"),
+        ('name: x\nseed: 1\n"seed": 2\n', 3, 1, "'seed'"),  # another spelling of one key
+        ("moon: {n_required: 2, n_required: 3}\n", 1, 23, "'n_required'"),
+        ("programs:\n  - {a: 1,\n     a: 1}\n", 3, 6, "'a'"),
+        ("x: &m {a: 1}\ny:\n  <<: *m\n  b: 1\n  b: 2\n", 5, 3, "'b'"),
+        ("0x1: a\n1: b\n", 2, 1, "1"),
+    ],
+)
+@pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
+def test_a_repeated_key_is_rejected_where_it_repeats(monkeypatch, loader, text, line, column, key):
+    monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
+    with pytest.raises(ParseError) as exc:
+        load_scenario(text)
+    assert str(exc.value) == f"line {line}, column {column}: duplicate key: {key}"
+
+
+@pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
+def test_merge_keys_still_override_and_unhashable_keys_keep_their_error(monkeypatch, loader):
+    monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
+    text = "a: &a {x: 1, y: 1}\nb: &b {y: 2, z: 2}\nc:\n  <<: [*a, *b]\n  x: 3\n"
+    doc = scenario_module.parse_yaml(text, "scenario")
+    assert doc["c"] == {"x": 3, "y": 1, "z": 2}
+    with pytest.raises(ParseError) as exc:
+        load_scenario("a: {[b]: 1}\n")
+    assert str(exc.value) == "line 1, column 5: found unhashable key: '['"
 
 
 def test_missing_file(tmp_path):
@@ -379,6 +413,15 @@ def test_bundled_scenarios_round_trip(name):
     reloaded = load_scenario(serialize_scenario(original))
     assert scenario_to_dict(reloaded) == scenario_to_dict(original)
     assert scenario_digest(reloaded) == scenario_digest(original)
+
+
+@pytest.mark.parametrize("generator", [random_scenario, wide_scenario])
+def test_generated_scenarios_round_trip(generator):
+    for index in range(200):
+        original = generator(index)
+        reloaded = load_scenario(serialize_scenario(original))
+        assert reloaded == original, index
+        assert scenario_digest(reloaded) == scenario_digest(original), index
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))

@@ -277,6 +277,25 @@ def test_sweep_parse_errors_are_located_like_scenario_errors(tmp_path, monkeypat
     assert str(from_spec.value).endswith(": ':'")
 
 
+@pytest.mark.parametrize(
+    "text,diagnostic",
+    [
+        ("mode: arrivals\nn_blocks: \x01\n", "line 2, column 11: "),
+        # without the check this runs the 3-of-3 sweep, 24 of whose 54 points fail
+        ("mode: faults\nn_required: 3\nm_agree: 2\nm_agree: 3\n", "line 4, column 1: duplicate key: 'm_agree'"),
+    ],
+    ids=["control_character", "repeated_key"],
+)
+@pytest.mark.parametrize("loader", [Loader, make_loader(yaml.SafeLoader)], ids=["default", "pure_python"])
+def test_sweep_spec_reader_and_key_errors_are_located(tmp_path, monkeypatch, loader, text, diagnostic):
+    monkeypatch.setattr("lockstepsim.scenario.Loader", loader)
+    spec = tmp_path / "bad.sweep"
+    spec.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_sweep_file(str(spec))
+    assert str(exc.value).startswith(diagnostic)
+
+
 def test_empty_sweep_file_is_a_parse_error(tmp_path):
     spec = tmp_path / "empty.sweep"
     spec.write_text("# nothing here\n")
