@@ -25,12 +25,13 @@ executes seven phases in a fixed order:
 Answers produced in phases 4-5 of cycle t wake the issuing block for its
 tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
-Every full step ends by setting ``World._due``: the first cycle on which a
-phase other than soak noise can have input.  That is the earliest block wake,
-trigger, cycle-windowed fault, IRQ delivery or session budget, or the next
-cycle while a voted port holds a transaction.  A cycle before it is quiet: it
-draws the soak noise and returns.  Within a full step, a phase with no input
-is skipped as well.  Either way ``step()`` advances exactly one cycle.
+Every full step ends by setting ``World._due``: the first cycle on which any
+phase can have input.  That is the earliest block wake, trigger,
+cycle-windowed fault, soak-noise upset, IRQ delivery or session budget, or
+the next cycle while a voted port holds a transaction.  A cycle before it has
+no input at all: ``step()`` advances the cycle and returns.  Within a full
+step, a phase with no input is skipped as well.  Either way ``step()``
+advances exactly one cycle.
 
 The world boots when it is built: Boot, then NormalProcessing (or SafeState
 on a failed boot check).  From then on phase 7 reads the system state off the
@@ -54,7 +55,6 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cached_property
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
@@ -96,18 +96,20 @@ class World:
     def __init__(self, scenario: Scenario, seed: Optional[int] = None, trace_enabled: bool = True):
         self.scenario = scenario
         self.effective_seed = scenario.seed if seed is None else check_seed(seed, "seed override")
-        rng = random.Random(self.effective_seed)
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
+        # the seed's own stream drives random selection only; soak noise has its own
         self.monitor = LockstepMonitor(
-            scenario.moon, rng if scenario.flags.random_selection else None
+            scenario.moon, random.Random(self.effective_seed) if scenario.flags.random_selection else None
         )
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
             for i in range(scenario.n_blocks)
         ]
-        self.fault_engine = FaultEngine(scenario.faults, scenario.noise_flip_probability, rng)
+        self.fault_engine = FaultEngine(
+            scenario.faults, scenario.noise_flip_probability, self.effective_seed, scenario.n_blocks
+        )
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
         self.trace_enabled = trace_enabled
@@ -123,8 +125,8 @@ class World:
         # what no session record holds; the rest of the report reads the monitor
         self.counters = {"rejected": 0, "masked_fault_cycles": 0}
         self.end_reason = "max_cycles"
-        # the first cycle a phase other than soak noise can have input; set by
-        # every full step, and the first step is one
+        # the first cycle any phase can have input; set by every full step,
+        # and the first step is one
         self._due = 1
         moon = scenario.moon
         self.emit(1, "system", "boot", {
@@ -158,20 +160,16 @@ class World:
             raise SimInternalError("step after safe state")
         self.cycle += 1
         c = self.cycle
-        faults = self.fault_engine
-        if c < self._due:  # a quiet cycle: only the soak noise has input
-            if faults.flip_probability > 0:
-                faults.stochastic_flips(c, self.blocks)
-                if faults.pending_events:
-                    self._emit_faults(1)
+        if c < self._due:  # a quiet cycle: no phase has input
             return
+        faults = self.fault_engine
         monitor = self.monitor
 
         # phase 1: scheduled fault activation, then seeded soak noise
         due = faults.next_cycle
         if due is not None and due <= c:
             faults.on_cycle_start(c, self.blocks)
-        if faults.flip_probability > 0:
+        if faults.next_upset <= c:
             faults.stochastic_flips(c, self.blocks)
         if faults.pending_events:
             self._emit_faults(1)
@@ -264,9 +262,10 @@ class World:
         self._due = self._next_due()
 
     def _next_due(self) -> float:
-        """The first cycle after this one on which a phase other than soak
-        noise can have input: the vote of a held transaction, a block's wake,
-        a trigger, a cycle-windowed fault, an IRQ delivery or a budget's lapse."""
+        """The first cycle after this one on which any phase can have input:
+        the vote of a held transaction, a block's wake, a trigger, a
+        cycle-windowed fault, a soak-noise upset, an IRQ delivery or a
+        budget's lapse."""
         due = min(self.wake)
         if due == self.cycle + 1 or self.held_tx:
             # nothing is due sooner; only voted ports hold a transaction, and
@@ -274,9 +273,11 @@ class World:
             return self.cycle + 1
         if self.triggers:
             due = min(due, self.triggers[-1].cycle)
-        fault_cycle = self.fault_engine.next_cycle
+        faults = self.fault_engine
+        fault_cycle = faults.next_cycle
         if fault_cycle is not None:
             due = min(due, fault_cycle)
+        due = min(due, faults.next_upset)
         if self.pending_irq:
             due = min(due, min(self.pending_irq))
         deadline = self.monitor.deadline
@@ -438,9 +439,10 @@ class Report:
     memory_digest: str
     trace: List[TraceEvent] = field(repr=False, default_factory=list)
 
-    @cached_property
+    @property
     def scenario_hash(self) -> str:
-        """Digest of the scenario, computed on first read: sweeps never read it."""
+        """The scenario's digest, computed on its first read for that scenario
+        value: sweeps never read it, and repeated runs of one value share it."""
         return scenario_digest(self.scenario)
 
     def to_dict(self) -> Dict:

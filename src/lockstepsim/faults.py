@@ -10,12 +10,21 @@ to execute the k-th safe-program instruction".  Each scheduled fault fires
 once.  Bit flips are single upsets: armed by their window, consumed by the
 next data transaction, then gone.
 
+Soak noise is a schedule too.  Each live block is upset on a cycle with
+probability ``flip_probability``, independently of every other cycle and
+block.  Rather than one Bernoulli draw per block and cycle, each block keeps
+the cycle of its next upset: after an upset at cycle t (or from cycle 0) the
+next one is ``t + 1 + floor(log(1 - U) / log1p(-p))``, the geometric
+inter-arrival time of the same law (Devroye 1986), drawn from the block's own
+stream ``random.Random(f"noise:{seed}:{block_id}")``.
+
 Every activation and flip queues a (target, detail) event; the engine drains
 the one queue after each hook and emits each drain in block order.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -66,11 +75,21 @@ class FaultEngine:
 
     Each scheduled fault sits in one schedule until it activates and leaves
     it then, so every fault fires once.  Soak noise, when ``flip_probability``
-    is above zero, draws from ``rng``."""
+    is above zero, upsets blocks ``0 .. n_blocks - 1`` on the cycles drawn
+    from their streams, which ``seed`` names."""
 
-    def __init__(self, specs: List[FaultSpec], flip_probability: float = 0.0, rng=None):
-        self.flip_probability = flip_probability
-        self.rng: Optional[random.Random] = rng
+    def __init__(
+        self, specs: List[FaultSpec], flip_probability: float = 0.0, seed: int = 0, n_blocks: int = 0
+    ):
+        # soak noise, per block: its stream and the cycle of its next upset;
+        # at p = 1 there is no log1p(-p), and every cycle is an upset
+        self._log_q = math.log1p(-flip_probability) if flip_probability < 1.0 else None
+        self._noise: List[random.Random] = []
+        if flip_probability > 0.0:
+            self._noise = [random.Random(f"noise:{seed}:{b_id}") for b_id in range(n_blocks)]
+        self._upsets: List[float] = [self._upset_after(0, rng) for rng in self._noise]
+        # the first cycle a block is due an upset; infinite without noise
+        self.next_upset: float = min(self._upsets, default=math.inf)
         # cycle-windowed faults as (at_cycle, target, declaration index, spec),
         # latest first so that the due ones pop off the end
         self._by_cycle: List[Tuple[int, int, int, FaultSpec]] = []
@@ -175,23 +194,34 @@ class FaultEngine:
         events.sort(key=itemgetter(0))
         return events
 
+    def _upset_after(self, cycle: int, rng: random.Random) -> float:
+        """The cycle of the first upset after ``cycle``: every cycle at p = 1,
+        never when the gap is too large for a float."""
+        if self._log_q is None:
+            return cycle + 1
+        gap = math.log(1.0 - rng.random()) / self._log_q
+        return cycle + 1 + math.floor(gap) if gap < math.inf else math.inf
+
     def stochastic_flips(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
-        """Seeded soak mode: each live block has a ``flip_probability`` chance
-        per cycle of a single random data-bit upset on its next data
-        transaction.  At most one stochastic flip is pending per block at a time."""
-        rng, probability = self.rng, self.flip_probability
-        if probability <= 0.0:
-            return
-        for block in blocks:
-            if block.state is BlockState.HALTED:
+        """Seeded soak mode: arm a random data-bit upset, for its next data
+        transaction, on each block whose upset is due at ``cycle``, then draw
+        the block's next upset.  A halted block's upset is dropped and it
+        draws no more; so is the upset of a block whose flip is still armed,
+        without a bit, so that at most one stochastic flip is pending per block."""
+        upsets = self._upsets
+        for b_id, due in enumerate(upsets):
+            if due > cycle:
                 continue
-            if rng.random() >= probability:
+            if blocks[b_id].state is BlockState.HALTED:
+                upsets[b_id] = math.inf
                 continue
-            if self._armed_flips.get(block.block_id):
-                continue
-            bit = rng.randrange(32)
-            spec = FaultSpec(block.block_id, FaultKind.BIT_FLIP_DATA, at_cycle=cycle, bit=bit)
-            self._armed_flips.setdefault(block.block_id, []).append(spec)
-            self.pending_events.append(
-                (block.block_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})
-            )
+            rng = self._noise[b_id]
+            if not self._armed_flips.get(b_id):
+                bit = rng.randrange(32)
+                spec = FaultSpec(b_id, FaultKind.BIT_FLIP_DATA, at_cycle=cycle, bit=bit)
+                self._armed_flips.setdefault(b_id, []).append(spec)
+                self.pending_events.append(
+                    (b_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})
+                )
+            upsets[b_id] = self._upset_after(cycle, rng)
+        self.next_upset = min(upsets, default=math.inf)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import asdict, dataclass, fields, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Tuple
 
 import yaml
@@ -144,6 +144,11 @@ class Scenario:
             store("irq_latency", tuple(self.irq_latency))
         # within 0..1 now, so an integer too large for a float cannot reach float()
         store("noise_flip_probability", float(self.noise_flip_probability))
+
+    @cached_property
+    def digest(self) -> str:
+        """See ``scenario_digest``; a scenario never changes, so it is computed on first read."""
+        return hashlib.sha256(serialize_scenario(self).encode("utf-8")).hexdigest()
 
 
 # -- instruction text ----------------------------------------------------------
@@ -607,4 +612,8 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 def scenario_digest(s: Scenario) -> str:
-    return hashlib.sha256(serialize_scenario(s).encode("utf-8")).hexdigest()
+    """sha256 of ``serialize_scenario(s)``, the canonical text: equal scenarios
+    have equal digests, whatever the comments, layout or key order of the
+    files they came from.  It is computed once per ``Scenario`` value and kept
+    on it as ``Scenario.digest``; an equal value built anew computes it again."""
+    return s.digest

@@ -36,7 +36,7 @@ from lockstepsim import (
     run,
     scenario_digest,
 )
-from lockstepsim import engine
+import lockstepsim.scenario as scenario_module
 from lockstepsim.faults import FaultKind, FaultSpec
 from lockstepsim.monitor import SessionRecord, SyncState
 from lockstepsim.scenario import ExternalTrigger
@@ -678,14 +678,14 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
-def test_step_and_soak_noise_run_once_per_cycle_while_blocks_sleep(monkeypatch, noise):
-    """Most cycles of the sleeper run have no input but soak noise.  Each
-    still costs one ``World.step`` call, and one ``stochastic_flips`` call
-    when there is noise; the upsets drawn in them are emitted in phase 1 of
-    their own cycle."""
+def test_step_runs_once_per_cycle_and_soak_noise_only_on_upset_cycles(monkeypatch, noise):
+    """Most cycles of the sleeper run have no input.  Each still costs one
+    ``World.step`` call, but ``stochastic_flips`` runs only on the cycles an
+    upset falls due, and each upset drawn there is emitted in phase 1 of its
+    own cycle, sleeping blocks or not."""
     scenario = dataclasses.replace(sleeper_scenario(), noise_flip_probability=noise)
     world = World(scenario)
-    steps, draws = [], []
+    steps, draws, armed = [], [], []
     step, flips = World.step, FaultEngine.stochastic_flips
 
     def counted_step(self):
@@ -693,17 +693,22 @@ def test_step_and_soak_noise_run_once_per_cycle_while_blocks_sleep(monkeypatch, 
         step(self)
 
     def counted_flips(self, cycle, blocks):
+        assert self.next_upset == cycle  # due now, and not called before
         draws.append(cycle)
+        queued = len(self.pending_events)
         flips(self, cycle, blocks)
+        armed.extend((cycle, target, d["bit"]) for target, d in self.pending_events[queued:])
 
     monkeypatch.setattr(World, "step", counted_step)
     monkeypatch.setattr(FaultEngine, "stochastic_flips", counted_flips)
     world.run()
     cycles = list(range(1, world.cycle + 1))
     assert world.cycle > 52 and steps == cycles
-    assert draws == (cycles if noise else [])
+    assert draws == sorted(set(draws))
+    assert bool(noise) == (0 < len(draws) < len(cycles) / 2)
     upsets = [e for e in world.trace if e.detail.get("window") == "stochastic"]
     assert all(e.phase == 1 for e in upsets)
+    assert [(e.cycle, e.entity, e.detail["bit"]) for e in upsets] == armed
     assert bool(noise) == any(2 < e.cycle < 52 and e.cycle != 10 for e in upsets)
 
 
@@ -772,21 +777,26 @@ def test_identical_runs_share_identical_session_history():
 
 
 def test_scenario_digest_is_computed_on_first_read_only(monkeypatch):
+    """Once per ``Scenario`` value, however many reports of it are serialized."""
     calls = []
+    serialize = scenario_module.serialize_scenario
 
-    def counting_digest(scenario):
+    def counting_serialize(scenario):
         calls.append(scenario)
-        return scenario_digest(scenario)
+        return serialize(scenario)
 
-    monkeypatch.setattr(engine, "scenario_digest", counting_digest)
+    monkeypatch.setattr(scenario_module, "serialize_scenario", counting_serialize)
     scenario = load_scenario_file(str(SCENARIO_DIR / "fig5.scn"))
-    report = run(scenario)
+    first, second = run(scenario), run(scenario)
     assert calls == []
-    first = report.to_json()
+    text = first.to_json()
     assert len(calls) == 1
-    assert report.to_json() == first
-    assert len(calls) == 1
-    assert json.loads(first)["scenario_hash"] == scenario_digest(scenario)
+    assert second.to_json() == first.to_json() == text
+    assert json.loads(text)["scenario_hash"] == scenario_digest(scenario)
+    assert calls == [scenario]
+    again = dataclasses.replace(scenario)  # an equal value of its own
+    assert run(again).scenario_hash == first.scenario_hash
+    assert len(calls) == 2
 
 
 def test_the_report_digest_is_of_the_scenario_that_ran():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-import random
+import math
+
+import pytest
 
 from lockstepsim import (
     LOCKSTEP_SYNC_ADDRESS,
@@ -267,15 +269,15 @@ def test_divergent_at_cycle_defers_to_next_fetch():
 
 
 def test_stochastic_flips_off_by_default():
-    eng = FaultEngine([], 0.0, random.Random(0))
-    blocks = make_blocks()
-    eng.stochastic_flips(1, blocks)
+    eng = FaultEngine([], 0.0, seed=0, n_blocks=2)
+    assert eng.next_upset == math.inf
+    eng.stochastic_flips(1, make_blocks())
     assert eng.drain_events() == []
 
 
 def test_stochastic_flips_deterministic_per_seed():
     def roll(seed):
-        eng = FaultEngine([], 0.3, random.Random(seed))
+        eng = FaultEngine([], 0.3, seed=seed, n_blocks=4)
         blocks = make_blocks(4)
         out = []
         for c in range(1, 20):
@@ -289,23 +291,92 @@ def test_stochastic_flips_deterministic_per_seed():
     assert roll(7) != roll(8)
 
 
+def test_each_block_draws_from_its_own_stream():
+    """A block's upsets depend on the seed and its own id only, not on how
+    many blocks share the engine."""
+
+    def upsets(n_blocks):
+        eng = FaultEngine([], 0.3, seed=5, n_blocks=n_blocks)
+        blocks = make_blocks(n_blocks)
+        out = []
+        for c in range(1, 40):
+            eng.stochastic_flips(c, blocks)
+            for b in blocks:
+                eng.filter_tx(b.block_id, data_tx())
+            out.extend((c, d["bit"]) for target, d in eng.drain_events() if target == 0 and "window" in d)
+        return out
+
+    assert upsets(1) == upsets(4) != []
+
+
 def test_stochastic_flip_arms_at_most_one_per_block():
-    eng = FaultEngine([], 1.0, random.Random(1))  # always trying
+    eng = FaultEngine([], 1.0, seed=1, n_blocks=1)  # an upset every cycle
     blocks = make_blocks(1)
     for c in range(1, 50):
         eng.stochastic_flips(c, blocks)
         assert len(eng._armed_flips[0]) == 1  # still only one pending
+        assert eng.next_upset == c + 1
     assert len(eng.drain_events()) == 1  # armed once
     eng.filter_tx(0, data_tx(0))
     assert len(eng.drain_events()) == 1  # exactly one upset applied
 
 
-def test_stochastic_flips_skip_halted_blocks():
-    eng = FaultEngine([], 1.0, random.Random(0))
+def test_an_upset_due_on_a_block_with_an_armed_flip_is_dropped_without_a_bit():
+    """At p = 1 a block's stream gives bits only.  The upset dropped at cycle
+    2 draws none, so the one armed at cycle 3 takes the stream's second bit."""
+
+    def bits(consume_at):
+        eng = FaultEngine([], 1.0, seed=3, n_blocks=1)
+        blocks = make_blocks(1)
+        out = []
+        for c in range(1, 4):
+            eng.stochastic_flips(c, blocks)
+            out.extend(d["bit"] for _, d in eng.drain_events())
+            if c in consume_at:
+                eng.filter_tx(0, data_tx())
+                eng.drain_events()
+        return out
+
+    dropped, every_cycle = bits(consume_at={2}), bits(consume_at={1, 2})
+    assert len(dropped) == 2 and len(every_cycle) == 3
+    assert dropped == every_cycle[:2]
+
+
+def test_a_halted_block_drops_its_upset_and_draws_no_more():
+    eng = FaultEngine([], 1.0, seed=0, n_blocks=2)
     blocks = make_blocks(2)
     blocks[0].state = blocks[0].state.HALTED
     eng.stochastic_flips(1, blocks)
     assert [target for target, _ in eng.drain_events()] == [1]
+    blocks[1].state = blocks[1].state.HALTED
+    eng.stochastic_flips(2, blocks)
+    assert eng.drain_events() == []
+    assert eng.next_upset == math.inf
+
+
+def test_a_gap_too_large_for_a_float_is_never():
+    assert FaultEngine([], 5e-324, seed=0, n_blocks=3).next_upset == math.inf
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 0.02])
+def test_upset_counts_follow_the_per_cycle_law(p):
+    """Over 10^6 cycles each block's upset count lies within five standard
+    deviations of its Bernoulli(p) mean, p * cycles, and no block is upset
+    twice in one cycle.  Every armed flip is cleared at once, so no upset is
+    dropped."""
+    cycles, n_blocks = 1_000_000, 2
+    eng = FaultEngine([], p, seed=11, n_blocks=n_blocks)
+    blocks = make_blocks(n_blocks)
+    counts = [0] * n_blocks
+    while eng.next_upset <= cycles:
+        cycle = eng.next_upset
+        eng.stochastic_flips(cycle, blocks)
+        assert eng.next_upset > cycle
+        for target, _ in eng.drain_events():
+            counts[target] += 1
+        eng._armed_flips.clear()
+    mean, spread = p * cycles, 5 * math.sqrt(cycles * p * (1 - p))
+    assert all(mean - spread < n < mean + spread for n in counts), counts
 
 
 def test_drain_orders_one_cycle_start_by_block():
@@ -317,7 +388,8 @@ def test_drain_orders_one_cycle_start_by_block():
             FaultSpec(target=2, kind=FaultKind.START_JITTER, at_cycle=1, delay=2),
         ],
         1.0,
-        random.Random(0),
+        seed=0,
+        n_blocks=3,
     )
     blocks = make_blocks(3)
     eng.on_cycle_start(1, blocks)

@@ -8,6 +8,13 @@ agree with the session records and the trace, reject contexts from the three
 the monitor gives, exit reads only from members of the open session, and the
 sync-register read counts of every completed session.  Runs the identity
 corpus leaves out (a corrupted address its bus cannot serve) are skipped.
+
+The same scenarios, noisy ones included, also check ``World.run()`` against
+an oracle that calls the public ``World.step()`` on every cycle up to the
+cycle the run ended on: the events, the memory image and the session records
+must agree.  A second oracle also makes every one of those cycles a full step
+by moving the world's next due cycle to it, so a cycle ``run()`` treats as
+having no input is seen to have none.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import pytest
 
 from generated import random_scenario, run_unless_unmapped, wide_scenario
-from lockstepsim import audit_event_order, audit_sessions, run
+from lockstepsim import SystemState, UnmappedAddress, World, audit_event_order, audit_sessions, run
 from lockstepsim.trace import audit_system_path
 
 
@@ -69,3 +76,33 @@ def check_invariants(scenario, rejected_once):
         for b in session.rejected:
             want = (session.rejected.count(b), 0)
             assert (session.sync_reads.get(b, 0), session.exit_reads.get(b, 0)) == want, b
+
+
+@pytest.mark.parametrize("full_steps", [False, True], ids=["step", "full_step"])
+@pytest.mark.parametrize("make, index", [(random_scenario, i) for i in range(200)]
+                         + [(wide_scenario, i) for i in range(200)],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_stepping_every_cycle_gives_the_events_of_run(make, index, full_steps):
+    scenario = make(index)
+    ran = World(scenario)
+    try:
+        ran.run()
+    except UnmappedAddress as exc:
+        aborted = str(exc)
+    else:
+        aborted = None
+        assert ran.trace.pop().kind == "halt"  # the end marker run() adds
+    stepped = World(scenario)
+    try:
+        while stepped.system_state is not SystemState.SAFE_STATE and stepped.cycle < ran.cycle:
+            if full_steps:
+                stepped._due = stepped.cycle + 1
+            stepped.step()
+    except UnmappedAddress as exc:
+        assert str(exc) == aborted
+    else:
+        assert aborted is None
+    assert stepped.cycle == ran.cycle
+    assert stepped.trace == ran.trace
+    assert (stepped.memory.ls_ram, stepped.memory.io_log) == (ran.memory.ls_ram, ran.memory.io_log)
+    assert stepped.monitor.sessions == ran.monitor.sessions
