@@ -53,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
@@ -62,7 +62,7 @@ from . import __version__ as VERSION
 from .block import BlockState, ProcessingBlock, TriggerSource
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
-from .monitor import LockstepMonitor, SyncState
+from .monitor import LockstepMonitor, SyncState, VoteResult
 from .scenario import Scenario, check_int, check_seed, scenario_digest
 from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
@@ -182,7 +182,9 @@ class World:
             self.emit(2, "system", "trigger", {"source": source.value})
             requests.append(("external", source))
 
-        # phase 3: ticks of the blocks that have input
+        # phase 3: ticks of the blocks that have input; an event's detail is
+        # built only when events are recorded
+        tracing = self.trace_enabled
         sync_arrivals: List[int] = []
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
@@ -197,10 +199,11 @@ class World:
                 wake[b.block_id] = _NEVER  # until _answer wakes it
             if faults.pending_events:
                 self._emit_faults(3)
-            for old, new in out.state_changes:
-                self.emit(3, b.block_id, "state_change", {"from": old.value, "to": new.value})
-                if new is BlockState.HALTED:
-                    self.emit(3, b.block_id, "halt", {})
+            if tracing:
+                for old, new in out.state_changes:
+                    self.emit(3, b.block_id, "state_change", {"from": old.value, "to": new.value})
+                    if new is BlockState.HALTED:
+                        self.emit(3, b.block_id, "halt", {})
             if out.trigger is not None:
                 self.emit(3, b.block_id, "trigger", {"source": out.trigger.value})
                 requests.append((b.block_id, out.trigger))
@@ -212,14 +215,16 @@ class World:
             if tx is None:
                 continue  # suppressed on the wire; the block stays stalled
             if b.state is BlockState.AWAITING_SYNC:
-                self.emit(3, b.block_id, "sync_read", {"address": f"0x{tx.address:08X}"})
+                if tracing:
+                    self.emit(3, b.block_id, "sync_read", {"address": f"0x{tx.address:08X}"})
                 sync_arrivals.append(b.block_id)
             elif b.state is BlockState.NORMAL_PROCESSING:
                 system_queue.append((b.block_id, tx))
             else:  # voted-bus port: data or the exit read, held until served or released
                 self.held_tx[b.block_id] = tx
                 if b.state is BlockState.AWAITING_EXIT:
-                    self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
+                    if tracing:
+                        self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
                     exit_arrivals.append(b.block_id)
 
         # phase 4: monitor rendezvous work
@@ -351,15 +356,10 @@ class World:
         if all(tx is None for _, tx in port_inputs):
             return  # unanimous idle cycle: not a fault, nothing to vote
         result = self.monitor.vote(port_inputs)
-        self.emit(
-            5,
-            "monitor",
-            "vote",
-            {
-                "ports": result.ports,
-                "matrix": ["".join("1" if x else "0" for x in row) for row in result.matrix],
-            },
-        )
+        tracing = self.trace_enabled  # an event's detail is built only when recorded
+        if tracing:
+            matrix = ["".join("1" if x else "0" for x in row) for row in result.matrix]
+            self.emit(5, "monitor", "vote", {"ports": result.ports, "matrix": matrix})
         if result.no_majority:
             self.emit(5, "monitor", "no_majority", {"ports": result.ports})
             return
@@ -368,24 +368,30 @@ class World:
         if result.forwarded is None:
             return  # winning class is "no transaction": voted bus stays idle
         fwd = result.forwarded
-        detail = {"block": result.selected_block, "tx": fwd.short()}
         if fwd.address == LOCKSTEP_SYNC_ADDRESS:
             # exit reads win votes but stall at the monitor; release logic owns them
-            self.emit(5, "monitor", "forward", dict(detail, stalled=1))
+            if tracing:
+                self._emit_forward(result, stalled=1)
             return
         try:
             response = self.memory.issue(fwd, voted=True)
         except UnmappedAddress:
             # the majority agreed on an address the voted bus cannot serve
-            self.emit(5, "monitor", "forward", dict(detail, unmapped=1))
+            if tracing:
+                self._emit_forward(result, unmapped=1)
             self.monitor.report_bus_fault("unmapped_address")
             return
-        self.emit(5, "monitor", "forward", dict(detail, response=response))
+        if tracing:
+            self._emit_forward(result, response=response)
         # shared-bus acknowledge: every live pending data transaction completes
         for b_id in members:
             if self.blocks[b_id].state is BlockState.SAFE_PROCESSING and b_id in self.held_tx:
                 self._answer(b_id, response)
                 del self.held_tx[b_id]
+
+    def _emit_forward(self, result: VoteResult, **outcome) -> None:
+        detail = {"block": result.selected_block, "tx": result.forwarded.short(), **outcome}
+        self.emit(5, "monitor", "forward", detail)
 
     # -- whole runs -----------------------------------------------------------
 
@@ -417,7 +423,9 @@ class World:
 
 @dataclass
 class Report:
-    """Run summary; the full trace rides along but serializes separately."""
+    """Run summary; the full trace rides along but serializes separately.
+    The scenario hash and the memory digest are derived when read, so a
+    run whose report is never serialized does not pay for them."""
 
     scenario_name: str
     effective_seed: int
@@ -436,7 +444,6 @@ class Report:
     availability_errors: int
     ls_ram: Dict[int, int]
     io_log: List[int]
-    memory_digest: str
     trace: List[TraceEvent] = field(repr=False, default_factory=list)
 
     @property
@@ -444,6 +451,11 @@ class Report:
         """The scenario's digest, computed on its first read for that scenario
         value: sweeps never read it, and repeated runs of one value share it."""
         return scenario_digest(self.scenario)
+
+    @property
+    def memory_digest(self) -> str:
+        """sha256 of the committed memory image, ``ls_ram`` and ``io_log``."""
+        return memory_digest(self.ls_ram, self.io_log)
 
     def to_dict(self) -> Dict:
         return {
@@ -498,7 +510,10 @@ def run(
         final_state=world.system_state.value,
         end_reason=world.end_reason,
         cycles_run=world.cycle,
-        sessions=[asdict(s) for s in sessions],
+        # asdict(s) without its recursive copy: the id lists are its only containers
+        sessions=[
+            dict(vars(s), accepted=list(s.accepted), rejected=list(s.rejected)) for s in sessions
+        ],
         sessions_completed=sum(s.outcome == "completed" for s in sessions),
         accepted=sum(len(s.accepted) for s in sessions),
         rejected=world.counters["rejected"],
@@ -508,6 +523,5 @@ def run(
         availability_errors=int(world.monitor.frozen),
         ls_ram=dict(world.memory.ls_ram),
         io_log=list(world.memory.io_log),
-        memory_digest=memory_digest(world.memory.ls_ram, world.memory.io_log),
         trace=world.trace,
     )

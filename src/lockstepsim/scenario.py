@@ -98,6 +98,7 @@ class ParseError(ScenarioError):
 class ValidationError(ScenarioError):
     def __init__(self, field_path: str, message: str):
         self.field_path = field_path
+        self.message = message
         super().__init__(f"{field_path}: {message}")
 
 
@@ -115,7 +116,10 @@ class Flags:
 @dataclass(frozen=True)
 class Scenario:
     """A checked, immutable world: ``validate_scenario`` runs once per build,
-    ``dataclasses.replace`` included, and sequences are stored as tuples."""
+    ``dataclasses.replace`` included, and sequences are stored as tuples.
+    Each instruction object is checked once per role, normal or safe code,
+    and the pass is kept on it, so a build that reuses the objects of an
+    earlier one checks only what is new."""
 
     name: str
     seed: int
@@ -415,55 +419,75 @@ _OPERANDS = {
 }
 
 
-def _check_instruction(instr, where: str):
+def _check_instruction(instr):
     """What normal and safe code share: an instruction whose operands are
-    integers, a trigger's source a member, and a compute at least 1 long."""
+    integers, a trigger's source a member, and a compute at least 1 long.
+    The instruction checks name field paths relative to the instruction."""
     if type(instr) not in _OPERANDS:
-        raise ValidationError(where, f"expected instruction, got {instr!r}")
+        raise ValidationError("", f"expected instruction, got {instr!r}")
     for name in _OPERANDS[type(instr)]:
-        check_int(getattr(instr, name), f"{where}.{name}")
+        check_int(getattr(instr, name), f".{name}")
     if isinstance(instr, TriggerSP) and not isinstance(instr.source, TriggerSource):
-        raise ValidationError(where, f"unknown trigger source: {instr.source!r}")
+        raise ValidationError("", f"unknown trigger source: {instr.source!r}")
     if isinstance(instr, Compute) and instr.duration < 1:
-        raise ValidationError(where, "compute duration must be >= 1")
+        raise ValidationError("", "compute duration must be >= 1")
 
 
-def _check_normal_instruction(instr: Instruction, where: str):
-    _check_instruction(instr, where)
+def _check_normal_instruction(instr: Instruction):
+    _check_instruction(instr)
     if isinstance(instr, (Read, Write)):
         if classify_address(instr.address) is not Region.SYSTEM_RAM:
             raise ValidationError(
-                where,
+                "",
                 f"address 0x{instr.address:X} outside system RAM "
                 f"(0x{SYSTEM_RAM_BASE:X}..0x{SYSTEM_RAM_LAST:X}); lockstep regions "
                 "are not reachable from normal code",
             )
     if isinstance(instr, Write) and not (0 <= instr.data <= WORD_MASK):
-        raise ValidationError(where, "data must fit in 32 bits")
+        raise ValidationError("", "data must fit in 32 bits")
     if isinstance(instr, TriggerSP) and instr.source not in PROGRAM_SOURCES:
         raise ValidationError(
-            where, f"programs may not cite external trigger source {instr.source.value}"
+            "", f"programs may not cite external trigger source {instr.source.value}"
         )
 
 
-def _check_safe_instruction(instr: Instruction, where: str):
-    _check_instruction(instr, where)
+def _check_safe_instruction(instr: Instruction):
+    _check_instruction(instr)
     if isinstance(instr, (TriggerSP, Halt)):
-        raise ValidationError(where, "safe program may not trigger or halt")
+        raise ValidationError("", "safe program may not trigger or halt")
     if isinstance(instr, Read):
         if not (LS_RAM_BASE <= instr.address <= LS_RAM_LAST):
-            raise ValidationError(where, "safe code reads lockstep RAM only")
+            raise ValidationError("", "safe code reads lockstep RAM only")
     if isinstance(instr, Write):
         region = classify_address(instr.address)
         if region not in (Region.LS_RAM, Region.IO):
             raise ValidationError(
-                where,
+                "",
                 f"address 0x{instr.address:X} outside lockstep RAM "
                 f"(0x{LS_RAM_BASE:X}..0x{LS_RAM_LAST:X}) and output range "
                 f"(0x{IO_BASE:X}..0x{IO_LAST:X})",
             )
         if not (0 <= instr.data <= WORD_MASK):
-            raise ValidationError(where, "data must fit in 32 bits")
+            raise ValidationError("", "data must fit in 32 bits")
+
+
+def _check_program(program, where: str, safe: bool) -> None:
+    """Check each instruction of ``program`` as safe or as normal code.
+
+    An instruction is a frozen value, so a pass is remembered on the object,
+    once per role, and a scenario built again from the same objects does not
+    check them again.  Only the object is trusted, never an equal value:
+    ``Compute(True) == Compute(1)``, and ``Compute(True)`` is still checked.
+    The field path of an instruction is formatted only when its check fails."""
+    passed = "_passed_safe" if safe else "_passed_normal"
+    for j, instr in enumerate(_sequence(program, where, "instructions")):
+        if type(instr) in _OPERANDS and hasattr(instr, passed):
+            continue
+        try:
+            (_check_safe_instruction if safe else _check_normal_instruction)(instr)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}[{j}]{exc.field_path}", exc.message) from None
+        object.__setattr__(instr, passed, True)  # past the frozen dataclass's guard
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -490,10 +514,8 @@ def validate_scenario(s: Scenario) -> None:
             "programs", f"expected {s.n_blocks} programs, got {len(s.programs)}"
         )
     for i, prog in enumerate(s.programs):
-        for j, instr in enumerate(_sequence(prog, f"programs[{i}]", "instructions")):
-            _check_normal_instruction(instr, f"programs[{i}][{j}]")
-    for j, instr in enumerate(_sequence(s.safe_program, "safe_program", "instructions")):
-        _check_safe_instruction(instr, f"safe_program[{j}]")
+        _check_program(prog, f"programs[{i}]", safe=False)
+    _check_program(s.safe_program, "safe_program", safe=True)
     for i, trig in enumerate(_sequence(s.triggers, "triggers", "triggers")):
         where = f"triggers[{i}]"
         check_int(_instance(trig, ExternalTrigger, where).cycle, f"{where}.cycle", minimum=1)
@@ -560,8 +582,7 @@ def _validate_fault(f: FaultSpec, i: int, s: Scenario) -> None:
     if f.kind is FaultKind.DIVERGENT_PROGRAM:
         if f.program is None:
             raise ValidationError(f"{where}.program", "alternate program required")
-        for j, instr in enumerate(_sequence(f.program, f"{where}.program", "instructions")):
-            _check_safe_instruction(instr, f"{where}.program[{j}]")
+        _check_program(f.program, f"{where}.program", safe=True)
     elif f.program is not None:
         raise ValidationError(f"{where}.program", f"not a {f.kind.value} parameter")
 

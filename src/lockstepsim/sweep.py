@@ -80,10 +80,23 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _group_scenario(n_blocks: int, length: int, **fields) -> Scenario:
-    """Programs ``length`` long; block 0 requests after one compute."""
+def _group_programs(length: int) -> Tuple[Tuple[Instruction, ...], Tuple[Instruction, ...]]:
+    """A requester's and an idle block's programs, ``length`` long: block 0
+    requests after one compute."""
     idle = (Compute(1),) * (length - 1) + (Halt(),)
-    requester = (Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)) + idle[2:]
+    return (Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED)) + idle[2:], idle
+
+
+# built once, so every point shares their instruction objects and a scenario
+# checks each of them on its first build only
+_RENDEZVOUS_PROGRAMS = _group_programs(24)
+_MASKING_PROGRAMS = _group_programs(16)
+_RENDEZVOUS_SAFE_PROGRAM = (Write(LS_RAM_BASE, 1), Read(LS_RAM_BASE))
+
+
+def _group_scenario(n_blocks: int, programs, **fields) -> Scenario:
+    """Block 0 runs the requester's program of ``programs``, the others the idle one."""
+    requester, idle = programs
     return Scenario(
         seed=1,
         n_blocks=n_blocks,
@@ -102,9 +115,9 @@ def build_rendezvous_scenario(
 ) -> Scenario:
     """Blocks at an instruction boundary every cycle; block 0 requests."""
     return _group_scenario(
-        n_blocks, 24, name=name, moon=MoonConfig(n_required, m_agree, t_gather=15, t_exec=15),
-        safe_program=(Write(LS_RAM_BASE, 1), Read(LS_RAM_BASE)), max_cycles=80,
-        irq_latency=irq_latency,
+        n_blocks, _RENDEZVOUS_PROGRAMS, name=name,
+        moon=MoonConfig(n_required, m_agree, t_gather=15, t_exec=15),
+        safe_program=_RENDEZVOUS_SAFE_PROGRAM, max_cycles=80, irq_latency=irq_latency,
     )
 
 
@@ -117,7 +130,8 @@ def build_masking_scenario(
 ) -> Scenario:
     """Uniform zero-latency arrivals so the lowest block ids form the group."""
     return _group_scenario(
-        n_blocks, 16, name=name, moon=MoonConfig(n_required, m_agree, t_gather=10, t_exec=12),
+        n_blocks, _MASKING_PROGRAMS, name=name,
+        moon=MoonConfig(n_required, m_agree, t_gather=10, t_exec=12),
         safe_program=DEFAULT_SAFE_PROGRAM, max_cycles=60, faults=faults,
     )
 

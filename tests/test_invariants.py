@@ -8,21 +8,24 @@ agree with the session records and the trace, reject contexts from the three
 the monitor gives, exit reads only from members of the open session, and the
 sync-register read counts of every completed session.  Runs the identity
 corpus leaves out (a corrupted address its bus cannot serve) are skipped.
+Every point of a 2-of-3 fault sweep with pairs keeps the same invariants.
 
-The same scenarios, noisy ones included, also check ``World.run()`` against
-an oracle that calls the public ``World.step()`` on every cycle up to the
-cycle the run ended on: the events, the memory image and the session records
-must agree.  A second oracle also makes every one of those cycles a full step
-by moving the world's next due cycle to it, so a cycle ``run()`` treats as
-having no input is seen to have none.
+The generated scenarios, noisy ones included, also check ``World.run()``
+against an oracle that calls the public ``World.step()`` on every cycle up to
+the cycle the run ended on: the events, the memory image and the session
+records must agree.  A second oracle also makes every one of those cycles a
+full step by moving the world's next due cycle to it, so a cycle ``run()``
+treats as having no input is seen to have none.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import lockstepsim.sweep
 from generated import random_scenario, run_unless_unmapped, wide_scenario
 from lockstepsim import SystemState, UnmappedAddress, World, audit_event_order, audit_sessions, run
+from lockstepsim.sweep import fault_sweep
 from lockstepsim.trace import audit_system_path
 
 
@@ -36,6 +39,23 @@ def test_wide_run_keeps_the_protocol_invariants(index):
     # a block that still holds an IRQ latched for an earlier session reads,
     # and is rejected, once per latch
     check_invariants(wide_scenario(index), rejected_once=False)
+
+
+def test_every_fault_point_keeps_the_protocol_invariants(monkeypatch):
+    # the vote and forward events, whose details an untraced run does not
+    # build, are emitted on paths only fault points reach
+    scenarios = []
+    inner = lockstepsim.sweep.run
+
+    def recording(scenario, **kwargs):
+        scenarios.append(scenario)
+        return inner(scenario, **kwargs)
+
+    monkeypatch.setattr(lockstepsim.sweep, "run", recording)
+    points = fault_sweep(3, 2, 1, 2, "representative").points
+    assert len(scenarios) == len(points) + 1  # and the fault-free reference
+    for scenario in scenarios:
+        check_invariants(scenario, rejected_once=True)
 
 
 def check_invariants(scenario, rejected_once):

@@ -17,6 +17,7 @@ import pytest
 import yaml
 
 from lockstepsim import (
+    LS_RAM_BASE,
     Compute,
     ExternalTrigger,
     FaultSpec,
@@ -25,6 +26,7 @@ from lockstepsim import (
     Scenario,
     TriggerSource,
     TriggerSP,
+    Write,
     run,
 )
 from lockstepsim.cli import EXIT_SCENARIO_ERROR, main
@@ -244,3 +246,55 @@ def test_a_wrong_value_in_a_built_scenario_is_rejected_or_runs(path):
         except Exception as exc:  # noqa: BLE001 - the point of the test
             escaped.append(f"{value!r:.40}: {exc!r:.200}")
     assert escaped == []
+
+
+# -- instructions are checked once per object and role ---------------------------
+
+
+def with_first_instruction(scenario, instr):
+    """``scenario`` with ``instr`` put before block 0's program."""
+    return replace(scenario, programs=[(instr,) + scenario.programs[0], *scenario.programs[1:]])
+
+
+def divergent_at_0(scenario, instr):
+    fault = FaultSpec(2, FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=(instr,))
+    return replace(scenario, faults=[fault])
+
+
+def first_safe(scenario, instr):
+    return replace(scenario, safe_program=(instr,) + scenario.safe_program[1:])
+
+
+@pytest.mark.parametrize(
+    "twin,impostor,path",
+    [
+        (Compute(1), Compute(True), "programs[0][0].duration"),
+        (Compute(1), Compute(1.0), "programs[0][0].duration"),
+        (Write(0x40, 5), Write(0x40, 5.0), "programs[0][0].data"),
+    ],
+    ids=short_repr,
+)
+def test_an_equal_impostor_of_a_passed_instruction_is_rejected(twin, impostor, path):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    with_first_instruction(scenario, twin)  # the twin passes, and is not checked again
+    assert impostor == twin
+    with pytest.raises(ValidationError) as exc:
+        with_first_instruction(scenario, impostor)
+    assert exc.value.field_path == path
+
+
+@pytest.mark.parametrize(
+    "instr,passes,fails,path",
+    [
+        (Write(0x40, 5), with_first_instruction, first_safe, "safe_program[0]"),
+        (Write(0x40, 5), with_first_instruction, divergent_at_0, "faults[0].program[0]"),
+        (Write(LS_RAM_BASE, 7), first_safe, with_first_instruction, "programs[0][0]"),
+    ],
+    ids=["normal_then_safe", "normal_then_divergent", "safe_then_normal"],
+)
+def test_an_instruction_passed_in_one_role_is_checked_in_the_other(instr, passes, fails, path):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    passes(scenario, instr)
+    with pytest.raises(ValidationError) as exc:
+        fails(scenario, instr)
+    assert exc.value.field_path == path

@@ -3,9 +3,15 @@ and a couple of quick end-to-end sweeps at reduced scale."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 import yaml
 
+import lockstepsim.scenario
+import lockstepsim.sweep
+from lockstepsim.block import Compute, Halt
 from lockstepsim.scenario import (
     Loader,
     ParseError,
@@ -15,6 +21,7 @@ from lockstepsim.scenario import (
     make_loader,
 )
 from lockstepsim.sweep import (
+    DEFAULT_SAFE_PROGRAM,
     SweepPoint,
     SweepResult,
     arrival_sweep,
@@ -30,6 +37,8 @@ from lockstepsim.sweep import (
     sweep_from_dict,
 )
 from lockstepsim import run
+
+SWEEP_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios" / "sweeps"
 
 
 # -- admission oracle (hand-checked examples) ----------------------------------------
@@ -189,6 +198,46 @@ def test_masking_scenario_reference_is_reusable():
     assert a.ls_ram == b.ls_ram and a.io_log == b.io_log
 
 
+# -- instruction checks -------------------------------------------------------------------------
+
+
+@pytest.fixture
+def instruction_checks(monkeypatch):
+    """Per-instruction checks made while the test runs, by role."""
+    counts = {"normal": 0, "safe": 0}
+    for role in counts:
+        name = f"_check_{role}_instruction"
+        inner = getattr(lockstepsim.scenario, name)
+
+        def counting(instr, inner=inner, role=role):
+            counts[role] += 1
+            return inner(instr)
+
+        monkeypatch.setattr(lockstepsim.scenario, name, counting)
+    return counts
+
+
+def test_an_instruction_object_is_checked_once_per_role(instruction_checks):
+    idle = (Compute(1),) * 15 + (Halt(),)  # two objects, fresh to this test
+    safe = tuple(replace(instr) for instr in DEFAULT_SAFE_PROGRAM)  # equal values, new objects
+    base = build_masking_scenario(4, 3, 2, faults=())
+    instruction_checks.update(normal=0, safe=0)  # whatever building the base checked
+    replace(base, programs=(idle,) * 4, safe_program=safe)
+    assert instruction_checks == {"normal": 2, "safe": 4}
+    replace(base, programs=(idle,) * 4, safe_program=safe + idle[:1])
+    assert instruction_checks == {"normal": 2, "safe": 5}  # Compute(1), now as safe code
+
+
+def test_a_sweep_makes_as_many_instruction_checks_whatever_its_points(instruction_checks):
+    fault_sweep(3, 2, 1, 1)  # every masking point's instruction objects have passed by now
+    counts = []
+    for pairs in (1, 2):
+        instruction_checks.update(normal=0, safe=0)
+        assert len(fault_sweep(3, 2, 1, pairs).points) == {1: 54, 2: 1026}[pairs]
+        counts.append(dict(instruction_checks))
+    assert counts[0] == counts[1] == {"normal": 0, "safe": 0}
+
+
 # -- sweep result plumbing ------------------------------------------------------------------
 
 
@@ -301,3 +350,11 @@ def test_empty_sweep_file_is_a_parse_error(tmp_path):
     spec.write_text("# nothing here\n")
     with pytest.raises(ParseError, match="empty sweep spec"):
         load_sweep_file(str(spec))
+
+
+def test_bundled_3oo5_pairs_spec_is_the_3330_point_sweep(monkeypatch):
+    monkeypatch.setattr(lockstepsim.sweep, "fault_sweep", lambda *args: args)
+    args = load_sweep_file(str(SWEEP_DIR / "faults_3oo5_pairs.sweep"))
+    assert args == (5, 3, 2, 2, "full")
+    per_block = len(placement_catalog(0, len(DEFAULT_SAFE_PROGRAM)))
+    assert 5 * per_block + 10 * per_block**2 == 3330
