@@ -10,12 +10,20 @@ register and stalls until the whole group is released together.
 
 Timing model: a block is ticked only when it has input: when a sleep
 (``TickOutput.sleep``) ends, or when the transaction it issued is answered.
-Compute(d) advances the pc at once and sleeps d - 1 cycles, so it occupies
-d; a start jitter of d sleeps d - 1 cycles from the boundary that took the
-interrupt, then issues the sync read.  A bus instruction issues its
-transaction in one tick and completes (pc advance plus fall-through into the
-next instruction) at the tick its answer arrives, so back-to-back bus
-operations issue once per cycle.
+Compute(d) occupies d cycles.  In the block's own program a run of
+consecutive computes, up to the next instruction of another kind or the
+program's end, is one sleep: the tick that meets its first compute advances
+the pc past the whole run and sleeps the run's summed duration minus 1.
+Only an IRQ latch can need a boundary inside the run, and the engine cuts
+the sleep there when the latch takes (``cut_run``): the block wakes at the
+first boundary after the latch cycle, with the pc at that boundary's
+instruction, exactly as if it had ticked at every compute.  Safe-program
+computes are fetched one at a time, so that the fetch hook sees each index:
+each advances the pc and sleeps d - 1 cycles.  A start jitter of d sleeps
+d - 1 cycles from the boundary that took the interrupt, then issues the sync
+read.  A bus instruction issues its transaction in one tick and completes
+(pc advance plus fall-through into the next instruction) at the tick its
+answer arrives, so back-to-back bus operations issue once per cycle.
 """
 
 from __future__ import annotations
@@ -78,6 +86,31 @@ class Halt:
 
 Instruction = Union[Compute, Read, Write, TriggerSP, Halt]
 
+# every sync and exit read of every block is this one transaction
+SYNC_READ = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+
+
+def _transaction(instr: Union[Read, Write]) -> BusTransaction:
+    if isinstance(instr, Read):
+        return BusTransaction(TxKind.READ, instr.address)
+    return BusTransaction(TxKind.WRITE, instr.address, instr.data)
+
+
+def _voted_transaction(instr: Union[Read, Write]) -> BusTransaction:
+    """The transaction a safe-code read or write issues, built when the
+    object is first executed and kept on it: lockstep members that execute
+    one object issue one transaction object, which the voter finds equal by
+    identity.  Normal code's transactions are not kept: the system bus does
+    not vote, and an attribute beyond the check mark costs an instruction
+    object a dict of its own, which a long normal program would pay for
+    every read and write."""
+    try:
+        return instr._tx
+    except AttributeError:
+        tx = _transaction(instr)
+        object.__setattr__(instr, "_tx", tx)  # past the frozen dataclass's guard
+        return tx
+
 
 class BlockState(Enum):
     NORMAL_PROCESSING = "normal_processing"
@@ -118,6 +151,10 @@ class ProcessingBlock:
         self.safe_override: Optional[Tuple[int, List[Instruction]]] = None
         self.safe_fetch_hook: Optional[Callable[["ProcessingBlock", int], None]] = None
         self._sync_on_wake = False  # a start jitter is delaying the sync read
+        # the run of computes the block sleeps through: its first pc and its
+        # length in cycles, 0 when the last tick started no run
+        self.run_pc = 0
+        self.run_cycles = 0
 
     # -- external stimulus ------------------------------------------------
 
@@ -138,11 +175,11 @@ class ProcessingBlock:
     def _enter_sync(self, out: TickOutput):
         self.saved_pc = self.pc
         self._change(out, BlockState.AWAITING_SYNC)
-        out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+        out.tx = SYNC_READ
 
     def _enter_exit(self, out: TickOutput):
         self._change(out, BlockState.AWAITING_EXIT)
-        out.tx = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
+        out.tx = SYNC_READ
 
     def _resume(self, out: TickOutput):
         self._change(out, BlockState.NORMAL_PROCESSING)
@@ -162,12 +199,39 @@ class ProcessingBlock:
                 return alt[off] if off < len(alt) else None
         return self.safe_program[idx] if idx < len(self.safe_program) else None
 
+    def _sleep_run(self) -> int:
+        """Advance the pc past the run of computes that starts at it and
+        return the run's length in cycles."""
+        program = self.program
+        pc = self.run_pc = self.pc
+        cycles = 0
+        while pc < len(program) and isinstance(program[pc], Compute):
+            cycles += program[pc].duration
+            pc += 1
+        self.pc = pc
+        self.run_cycles = cycles
+        return cycles
+
+    def cut_run(self, slept: int) -> int:
+        """An IRQ latch took ``slept`` cycles after the tick that started the
+        run: end the run at its first boundary after that, where the latch is
+        taken, and set the pc to the instruction there.  Returns the
+        boundary's offset from the run's first cycle."""
+        pc, boundary = self.run_pc, 0
+        while boundary <= slept:
+            boundary += self.program[pc].duration
+            pc += 1
+        self.pc = pc
+        self.run_cycles = 0
+        return boundary
+
     # -- the tick ----------------------------------------------------------
 
     def tick(self, response: Optional[int] = None) -> TickOutput:
         """Advance one cycle on input: ``response`` answers the block's
         transaction (sync/exit release value or data answer); None ends a sleep."""
         out = TickOutput()
+        self.run_cycles = 0
         if response is not None:
             if self.state is BlockState.AWAITING_SYNC and response & 0xFF:
                 self._change(out, BlockState.SAFE_PROCESSING)
@@ -199,7 +263,8 @@ class ProcessingBlock:
         return self._execute(out)
 
     def _execute(self, out: TickOutput) -> TickOutput:
-        if self.state is BlockState.SAFE_PROCESSING:
+        safe = self.state is BlockState.SAFE_PROCESSING
+        if safe:
             instr = self._fetch_safe()
             if instr is None:
                 self._enter_exit(out)
@@ -211,12 +276,13 @@ class ProcessingBlock:
             instr = self.program[self.pc]
 
         if isinstance(instr, Compute):
-            self.pc += 1
-            out.sleep = instr.duration - 1
-        elif isinstance(instr, Read):
-            out.tx = BusTransaction(TxKind.READ, instr.address)
-        elif isinstance(instr, Write):
-            out.tx = BusTransaction(TxKind.WRITE, instr.address, instr.data)
+            if safe:
+                self.pc += 1
+                out.sleep = instr.duration - 1
+            else:
+                out.sleep = self._sleep_run() - 1
+        elif isinstance(instr, (Read, Write)):
+            out.tx = _voted_transaction(instr) if safe else _transaction(instr)
         elif isinstance(instr, TriggerSP):
             out.trigger = instr.source
             self.pc += 1

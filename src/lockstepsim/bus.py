@@ -67,9 +67,9 @@ class UnmappedAddress(Exception):
         super().__init__(f"unmapped address 0x{address:08X} ({context})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BusTransaction:
-    """One bus transfer as seen on a block's port.
+    """One bus transfer as seen on a block's port; a value that never changes.
 
     ``data`` is the write payload and is forced to zero for reads, so that
     equality over (kind, address, data), the voter's compare-matrix
@@ -81,8 +81,9 @@ class BusTransaction:
     data: int = 0
 
     def __post_init__(self):
-        self.address &= WORD_MASK
-        self.data = 0 if self.kind is TxKind.READ else self.data & WORD_MASK
+        # normalized once, past the frozen dataclass's guard
+        object.__setattr__(self, "address", self.address & WORD_MASK)
+        object.__setattr__(self, "data", 0 if self.kind is TxKind.READ else self.data & WORD_MASK)
 
     def short(self) -> str:
         tag = "R" if self.kind is TxKind.READ else "W"

@@ -9,9 +9,11 @@ executes seven phases in a fixed order:
    (transactions collected, not yet served; the state a tick ends in names
    its transaction: a sync read, an exit read, voted data or a system-bus
    access).  ``World.wake`` holds the cycle each block next acts: the end of
-   a ``Compute`` or a start jitter, the cycle after its transaction is
-   answered, or never once it halts.  What it latches meanwhile (an IRQ, a
-   fault knob) it reads when it wakes.
+   a run of computes (see ``block``) or of a safe-program compute or a start
+   jitter, the cycle after its transaction is answered, or never once it
+   halts.  What it latches meanwhile (an IRQ, a fault knob) it reads when it
+   wakes; an IRQ latch that takes during a run moves the wake to the run's
+   first instruction boundary after the latch cycle, in phase 4.
 4. monitor rendezvous work: session requests, IRQ latch delivery (latency 0
    included), entry arrivals and admission, exit arrivals and group release
 5. bus commit: system RAM (serialized by ascending block id), then the voted
@@ -233,7 +235,10 @@ class World:
             self._phase_requests(c, requests)
         if self.pending_irq:
             for b_id in self.pending_irq.pop(c, ()):
-                self.blocks[b_id].raise_irq()
+                b = self.blocks[b_id]
+                if b.raise_irq() and b.run_cycles:  # wake at the run's next boundary
+                    start = wake[b_id] - b.run_cycles
+                    wake[b_id] = start + b.cut_run(c - start)
         gathering = monitor.sync_state is SyncState.GATHERING
         if sync_arrivals:
             self._phase_entry(c, sync_arrivals)

@@ -8,12 +8,13 @@ responders are admitted together (ties within one cycle break by ascending
 block id, or by the seeded ``rng`` when given).  Everything arriving later,
 or while no session is gathering, is answered zero at once.
 
-While the group runs the safe program the voter compares the per-port
-transaction streams pairwise (an n x n boolean matrix), forwards the lowest
-port whose equality class reaches ``m_agree``, and keeps the voted bus idle
-when the winning class is "no transaction".  A cycle with no class at
-``m_agree`` is a no-majority fault.  Controlled release stalls every exit
-read until all group members have issued theirs, then answers them together.
+While the group runs the safe program the voter counts each port's equals
+among the per-port transactions (the n x n compare matrix is derived only
+when a traced vote reads it), forwards the lowest port whose equality class
+reaches ``m_agree``, and keeps the voted bus idle when the winning class is
+"no transaction".  A cycle with no class at ``m_agree`` is a no-majority
+fault.  Controlled release stalls every exit read until all group members
+have issued theirs, then answers them together.
 
 The observer raises an availability error when gathering or execution outlive
 their cycle budgets, or at once on a no-majority cycle or a voted commit to
@@ -79,15 +80,15 @@ class SyncState(Enum):
 class VoteResult:
     """Outcome of one compare-and-select cycle.
 
-    ``ports`` lists the enabled block ids in matrix order; ``selected`` is an
-    index into it and is present exactly when a real transaction was
-    forwarded.  ``idle_majority`` marks a winning absence class (bus kept
-    idle, not a fault).  ``disagreement`` is true when at least one port fell
-    outside the winning class.
+    ``ports`` lists the enabled block ids in matrix order and ``inputs``
+    their transactions; ``selected`` is an index into them and is present
+    exactly when a real transaction was forwarded.  ``idle_majority`` marks a
+    winning absence class (bus kept idle, not a fault).  ``disagreement`` is
+    true when at least one port fell outside the winning class.
     """
 
     ports: List[int]
-    matrix: List[List[bool]]
+    inputs: Sequence[Optional[BusTransaction]]
     selected: Optional[int]
     forwarded: Optional[BusTransaction]
     idle_majority: bool = False
@@ -97,6 +98,12 @@ class VoteResult:
     @property
     def selected_block(self) -> Optional[int]:
         return None if self.selected is None else self.ports[self.selected]
+
+    @property
+    def matrix(self) -> List[List[bool]]:
+        """The n x n compare matrix of the inputs, built when read: the vote
+        itself needs only each input's count of equals."""
+        return [[a == b for b in self.inputs] for a in self.inputs]
 
 
 def run_vote(
@@ -108,16 +115,18 @@ def run_vote(
     n = len(inputs)
     if ports is None:
         ports = list(range(n))
-    # absence (None) is a value equal only to other absences
-    matrix = [[a == b for b in inputs] for a in inputs]
-    counts = [sum(row) for row in matrix]
-    winner = next((i for i in range(n) if counts[i] >= m_agree), None)
-    result = VoteResult(ports=list(ports), matrix=matrix, selected=None, forwarded=None)
-    if winner is None:
+    result = VoteResult(ports=list(ports), inputs=inputs, selected=None, forwarded=None)
+    # absence (None) is a value equal only to other absences; list.count
+    # tests identity before equality, and lockstep members issue one object
+    for winner, tx in enumerate(inputs):
+        agree = inputs.count(tx)
+        if agree >= m_agree:
+            break
+    else:
         result.no_majority = True
         result.disagreement = True
         return result
-    result.disagreement = counts[winner] < n
+    result.disagreement = agree < n
     if inputs[winner] is None:
         result.idle_majority = True
     else:

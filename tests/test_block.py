@@ -4,7 +4,9 @@ The harness below plays the engine's side: it ticks the block only when the
 block has input, at the end of a sleep or the cycle after its transaction is
 answered, and decides when each answer comes.  An answer given in cycle t
 is consumed at the block's tick in t+1, with the fall-through into the next
-instruction, so an unstalled bus operation costs one cycle."""
+instruction, so an unstalled bus operation costs one cycle.  Its IRQ delivery
+is the engine's phase 4: a latch that takes during a run of computes wakes
+the block at the run's first boundary after the latch cycle."""
 
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from lockstepsim import (
     TxKind,
     Write,
 )
+from lockstepsim.block import SYNC_READ
 
 SAFE = [Write(0x10000, 7), Read(0x10000)]
 
@@ -61,6 +64,16 @@ class EngineSide:
                     self.wake = c + out.sleep + 1
         return self
 
+    def latch(self):
+        """Phase 4 of the current cycle: deliver the IRQ, and when the latch
+        takes during a run of computes, move the wake to its next boundary."""
+        block = self.block
+        took = block.raise_irq()
+        if took and block.run_cycles:
+            start = self.wake - block.run_cycles
+            self.wake = start + block.cut_run(self.cycle - start)
+        return took
+
     def issued(self):
         """(cycle, address) of every transaction issued so far."""
         return [(c, out.tx.address) for c, out in self.ticks.items() if out.tx is not None]
@@ -79,8 +92,12 @@ def test_compute_occupies_exactly_d_ticks(duration):
 
 
 def test_back_to_back_computes():
+    """A run of computes is one sleep: the halt at 6 is where it was when
+    each compute took a tick."""
     side = EngineSide([Compute(2), Compute(3), Halt()]).run(10)
-    assert list(side.ticks) == [1, 3, 6]
+    assert list(side.ticks) == [1, 6]
+    assert (side.ticks[1].sleep, side.block.run_pc) == (4, 0)
+    assert side.ticks[6].state_changes == [(BlockState.NORMAL_PROCESSING, BlockState.HALTED)]
     assert side.block.state is BlockState.HALTED
 
 
@@ -152,6 +169,69 @@ def test_no_show_knob_ignores_irq():
     block.ignore_irq = True
     assert not block.raise_irq()
     assert not block.pending_irq
+
+
+# -- a run of computes is one sleep ------------------------------------------------
+
+RUN = (1, 3, 2, 5)  # durations of a run that starts at cycle 1 and ends at 11
+
+
+def run_program():
+    return [Compute(d) for d in RUN] + [Halt()]
+
+
+def first_boundary_after(cycle):
+    """(cycle, pc) of the run's first instruction boundary after ``cycle``:
+    the boundary before the instruction at pc k is 1 + RUN[0] + ... + RUN[k-1]."""
+    return next((1 + sum(RUN[:k]), k) for k in range(1, len(RUN) + 1) if 1 + sum(RUN[:k]) > cycle)
+
+
+@pytest.mark.parametrize("latch", range(1, 1 + sum(RUN)))
+def test_a_latch_inside_a_run_is_taken_at_the_first_boundary_after_it(latch):
+    boundary, pc = first_boundary_after(latch)
+    side = EngineSide(run_program()).run(latch)
+    assert side.wake == 1 + sum(RUN)  # one sleep through the whole run
+    assert side.latch()
+    assert side.wake == boundary
+    side.run(boundary + 3)
+    assert list(side.ticks) == [1, boundary]
+    assert side.issued() == [(boundary, LOCKSTEP_SYNC_ADDRESS)]
+    assert side.block.saved_pc == pc
+
+
+def test_a_no_show_latch_does_not_move_the_wake():
+    side = EngineSide(run_program()).run(3)
+    side.block.ignore_irq = True
+    assert not side.latch()
+    assert side.wake == 12
+    side.run(15)
+    assert list(side.ticks) == [1, 12]
+    assert side.block.state is BlockState.HALTED
+
+
+def test_a_latch_on_the_last_boundary_does_not_move_the_wake():
+    """A latch in cycle 11 is taken at the run's own end, 12."""
+    side = EngineSide(run_program()).run(11)
+    assert side.latch()
+    assert (side.wake, side.block.pc) == (12, len(RUN))
+    side.run(14)
+    assert list(side.ticks) == [1, 12]
+    assert side.issued() == [(12, LOCKSTEP_SYNC_ADDRESS)]
+    assert side.block.saved_pc == len(RUN)
+
+
+def test_a_rejected_block_resumes_mid_run_and_halts_when_it_would_have():
+    """Latched at 3, the block reads at the boundary at 5 (saved pc 2) and is
+    rejected; from 6 it sleeps through the rest of the run, 2 + 5 cycles, and
+    halts at 13, as it would after a compute at 6 and another at 8."""
+    side = EngineSide(run_program()).run(3)
+    side.latch()
+    side.run(14, answers={5: 0})
+    assert side.issued() == [(5, LOCKSTEP_SYNC_ADDRESS)]
+    assert (BlockState.REJECTED, BlockState.NORMAL_PROCESSING) in side.ticks[6].state_changes
+    assert (side.ticks[6].sleep, side.block.run_pc) == (2 + 5 - 1, 2)
+    assert list(side.ticks) == [1, 5, 6, 13]
+    assert side.ticks[13].state_changes == [(BlockState.NORMAL_PROCESSING, BlockState.HALTED)]
 
 
 # -- acceptance / rejection / release ----------------------------------------------
@@ -227,7 +307,7 @@ def test_sync_delay_postpones_the_sync_read(delay):
     side = EngineSide([Compute(1), Compute(1), Halt()])
     side.block.sync_delay = delay
     side.run(1)
-    side.block.raise_irq()
+    assert side.latch()  # cuts the run of two computes at its boundary at 2
     # the boundary at cycle 2 consumes the latch and sleeps through the delay
     side.run(2 + delay + 3)
     assert list(side.ticks) == [1, 2, 2 + delay]
@@ -239,10 +319,10 @@ def test_sync_delay_is_one_shot():
     side = EngineSide([Compute(1), Compute(1), Compute(1), Halt()])
     side.block.sync_delay = 2
     side.run(1)
-    side.block.raise_irq()
-    side.run(5, answers={4: 0})  # read at 4, rejected; compute at pc 1 runs at 5
+    side.latch()
+    side.run(5, answers={4: 0})  # read at 4, rejected; the run from pc 1 starts at 5
     assert side.block.sync_delay == 0
-    side.block.raise_irq()
+    side.latch()  # cuts that run at its boundary at 6
     side.run(8)
     assert side.issued() == [(4, LOCKSTEP_SYNC_ADDRESS), (6, LOCKSTEP_SYNC_ADDRESS)]
 
@@ -258,6 +338,21 @@ def test_fetch_hook_sees_each_safe_index():
     assert seen == [0, 1, 2]
 
 
+def test_fetch_hook_sees_each_safe_compute():
+    """Safe-program computes are not folded into one sleep: each is fetched,
+    and seen by the hook, at its own tick."""
+    seen = []
+    side = EngineSide([Compute(1), Halt()], safe=[Compute(3), Compute(1), Write(0x10000, 7)]).run(1)
+    side.block.raise_irq()
+    side.run(2)
+    side.block.safe_fetch_hook = lambda blk, idx: seen.append(idx)
+    side.run(9, answers={2: 1, 7: 0})  # index 3 is the end-of-stream probe
+    assert seen == [0, 1, 2, 3]
+    assert list(side.ticks) == [1, 2, 3, 6, 7, 8]
+    assert side.ticks[3].sleep == 2
+    assert side.issued() == [(2, LOCKSTEP_SYNC_ADDRESS), (7, 0x10000), (8, LOCKSTEP_SYNC_ADDRESS)]
+
+
 def test_safe_override_swaps_the_remaining_stream():
     side = accepted_block()
     side.block.safe_override = (1, [Write(0x10004, 9)])
@@ -266,6 +361,21 @@ def test_safe_override_swaps_the_remaining_stream():
     assert side.ticks[4].tx == BusTransaction(TxKind.WRITE, 0x10004, 9)  # the override
     assert side.block.state is BlockState.AWAITING_EXIT  # override exhausted -> exit read
     assert side.ticks[5].tx.address == LOCKSTEP_SYNC_ADDRESS
+
+
+def test_blocks_that_execute_one_instruction_issue_one_transaction():
+    """The voter counts equal ports by identity first, so lockstep members
+    that execute one instruction object issue one transaction object; every
+    sync and exit read is one object too."""
+    write = Write(0x10000, 7)
+    sides = [EngineSide([Compute(1), Halt()], safe=[write]) for _ in range(2)]
+    for side in sides:
+        side.run(1)
+        side.block.raise_irq()
+        side.run(4, answers={2: 1, 3: 0})
+    assert [side.ticks[2].tx for side in sides] == [SYNC_READ, SYNC_READ]
+    assert sides[0].ticks[3].tx is sides[1].ticks[3].tx == BusTransaction(TxKind.WRITE, 0x10000, 7)
+    assert sides[0].ticks[4].tx is sides[1].ticks[4].tx is SYNC_READ  # the exit reads
 
 
 def test_determinism_two_identical_blocks():

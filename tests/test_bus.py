@@ -3,6 +3,7 @@ store domains, and same-cycle write serialization through the engine."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -78,6 +79,13 @@ def test_read_data_forced_to_zero():
     tx = BusTransaction(TxKind.READ, 0x10000, 12345)
     assert tx.data == 0
     assert tx == BusTransaction(TxKind.READ, 0x10000, 0)
+
+
+def test_a_transaction_never_changes():
+    tx = BusTransaction(TxKind.WRITE, 0x1_0001_0000, 7)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tx.data = 8
+    assert (tx.address, tx.data) == (0x10000, 7)  # normalized when built
 
 
 def test_short_form():

@@ -633,6 +633,33 @@ def test_a_latch_raised_in_the_cycle_of_a_sync_read_outlives_the_session():
     assert [(s["accepted"], s["release_cycle"]) for s in report.sessions] == [([0, 1], 13), ([0, 2], 22)]
 
 
+RUN = (1, 3, 2, 5, 1, 1)  # a run of computes from cycle 1 to 13
+
+
+@pytest.mark.parametrize("trigger", range(1, 1 + sum(RUN)))
+def test_a_latch_inside_a_run_of_computes_is_read_at_its_next_boundary(monkeypatch, trigger):
+    """Each block sleeps through the whole run from its tick at 1, and the
+    latch of the trigger's cycle wakes it at the run's first boundary after
+    that cycle, 1 + RUN[0] + ... + RUN[k-1], to read with saved pc k."""
+    boundary, pc = next(
+        (1 + sum(RUN[:k]), k) for k in range(1, len(RUN) + 1) if 1 + sum(RUN[:k]) > trigger
+    )
+    scenario = dataclasses.replace(
+        group_scenario(triggers=[ExternalTrigger(trigger, TriggerSource.EXTERNAL_IN_SCOPE)]),
+        programs=[[Compute(d) for d in RUN] + [Halt()] for _ in range(3)],
+    )
+    world, ticks = run_counting_ticks(monkeypatch, scenario)
+    assert sync_read_cycles(world.trace) == {0: boundary, 1: boundary, 2: boundary}
+    assert world.monitor.sessions[0].lockstep_cycle == boundary
+    assert all(t[:2] == [1, boundary] for t in ticks.values())
+    assert [b.saved_pc for b in world.blocks] == [None] * 3  # resumed at release
+    assert world.monitor.sessions[0].outcome == "completed"
+    halts = [e.cycle for e in world.trace if e.kind == "halt" and e.entity != "system"]
+    # from its resume, each block computes the rest of the run, then halts
+    release = world.monitor.sessions[0].release_cycle
+    assert halts == [release + 1 + sum(RUN[pc:])] * 3
+
+
 def run_counting_ticks(monkeypatch, scenario):
     """Run ``scenario``; return its world and the cycles each block was ticked in."""
     world = World(scenario)
@@ -649,20 +676,23 @@ def run_counting_ticks(monkeypatch, scenario):
 
 
 def test_blocks_sleep_through_their_computes(monkeypatch):
+    """Two computes in a row are one sleep, from the tick at 1 to the halt at 20,001."""
     scenario = dataclasses.replace(
         group_scenario(max_cycles=30_000),
         programs=[[Compute(10_000), Compute(10_000), Halt()] for _ in range(3)],
     )
     world, ticks = run_counting_ticks(monkeypatch, scenario)
     assert (world.end_reason, world.cycle) == ("all_halted", 20_001)
-    assert ticks == {b: [1, 10_001, 20_001] for b in range(3)}
+    assert ticks == {b: [1, 20_001] for b in range(3)}
 
 
 def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
     """The spare, block 3, halts at cycle 4 when it resumes from its
     rejection.  Block 0 falls silent at its first safe write, issued at 4,
     and is not ticked again while the session runs into its execution
-    timeout at 16; its partners compute and issue their exit reads at 8."""
+    timeout at 16.  Its partners sleep through their idle computes from 1
+    until the latch of cycle 2 cuts that sleep at 3, where they read; they
+    compute and issue their exit reads at 8."""
     scenario = build_masking_scenario(
         4, 3, 2, faults=[FaultSpec(target=0, kind=FaultKind.STUCK_SILENT, at_safe_instr=0)]
     )
@@ -672,7 +702,7 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
         programs=scenario.programs[:3] + ((Compute(2), Halt()),),
     )
     world, ticks = run_counting_ticks(monkeypatch, scenario)
-    assert ticks == {0: [1, 2, 3, 4], 1: [1, 2, 3, 4, 5, 8], 2: [1, 2, 3, 4, 5, 8], 3: [1, 3, 4]}
+    assert ticks == {0: [1, 2, 3, 4], 1: [1, 3, 4, 5, 8], 2: [1, 3, 4, 5, 8], 3: [1, 3, 4]}
     assert world.monitor.sessions[0].outcome == "exec_timeout"
     assert world.cycle == 16
 

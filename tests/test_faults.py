@@ -179,6 +179,17 @@ def test_data_flip_is_single_shot():
     assert eng.drain_events() == []  # consumed
 
 
+def test_a_flip_builds_its_own_transaction():
+    """A transaction is shared by every block that executes its instruction,
+    so a flip on one port leaves it as it was."""
+    eng = FaultEngine([FaultSpec(target=0, kind=FaultKind.BIT_FLIP_DATA, at_cycle=1, bit=0)])
+    eng.on_cycle_start(1, make_blocks())
+    shared = data_tx(6)
+    flipped = eng.filter_tx(0, shared)
+    assert (flipped.data, shared.data) == (7, 6)
+    assert eng.filter_tx(1, shared) is shared  # no flip armed: passed through
+
+
 def test_address_flip_touches_the_address_word():
     eng = FaultEngine(
         [FaultSpec(target=0, kind=FaultKind.BIT_FLIP_ADDRESS, at_cycle=1, bit=3)]
