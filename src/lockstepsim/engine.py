@@ -14,18 +14,21 @@ executes seven phases in a fixed order:
    halts.  What it latches meanwhile (an IRQ, a fault knob) it reads when it
    wakes; an IRQ latch that takes during a run moves the wake to the run's
    first instruction boundary after the latch cycle, in phase 4.
-4. monitor rendezvous work: session requests, IRQ latch delivery (latency 0
-   included), entry arrivals and admission, exit arrivals and group release
-5. bus commit: system RAM (serialized by ascending block id), then the voted
-   safe bus (compare, select, forward, broadcast the completion).  Each
-   member's vote input is the transaction it put on the bus, exit reads
-   included, held until it is served or released; a silenced port presents
-   nothing.
-6. availability observer
+4. rendezvous work: the monitor takes the session requests, then the world
+   delivers the IRQ latches due (latency 0 included), then the monitor takes
+   the entry arrivals (admission) and the exit arrivals (group release)
+5. bus commit: system RAM (serialized by ascending block id), then, while a
+   voted port holds a transaction, the monitor's vote and voted-bus commit
+   (compare, select, forward, answer the data ports).  A member's port holds
+   the transaction it put on the bus, exit reads included, until it is
+   answered or released; a silenced port presents nothing.
+6. the monitor's availability observer
 7. system-level state transitions
 
-Answers produced in phases 4-5 of cycle t wake the issuing block for its
-tick in cycle t+1, so an unstalled bus operation costs one cycle.
+The monitor emits its own events and returns the ``(block, response)``
+answers of each step; the world owns the blocks and answers them.  Answers
+produced in phases 4-5 of cycle t wake the issuing block for its tick in
+cycle t+1, so an unstalled bus operation costs one cycle.
 
 Every full step ends by setting ``World._due``: the first cycle on which any
 phase can have input.  That is the earliest block wake, trigger,
@@ -62,9 +65,9 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__ as VERSION
 from .block import BlockState, ProcessingBlock, TriggerSource
-from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
+from .bus import BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
-from .monitor import LockstepMonitor, SyncState, VoteResult
+from .monitor import LockstepMonitor, SyncState
 from .scenario import Scenario, check_int, check_seed, scenario_digest
 from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
 
@@ -88,7 +91,6 @@ _SYSTEM_STATE_OF = {
     SyncState.LOCKSTEP: SystemState.SAFE_PROCESSING_MODE,
     SyncState.RELEASING: SystemState.SAFE_PROCESSING_MODE,
 }
-_VOTED_BUS_STATES = (SyncState.LOCKSTEP, SyncState.RELEASING)
 _NEVER = float("inf")  # the wake of a block waiting for an answer, or halted
 
 
@@ -101,9 +103,15 @@ class World:
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
-        # the seed's own stream drives random selection only; soak noise has its own
+        self.trace_enabled = trace_enabled
+        self.trace: List[TraceEvent] = []
+        # the seed's own stream drives random selection only; soak noise has
+        # its own.  The monitor gets the event list, not the world: a finished
+        # world is then freed by reference counting alone.
         self.monitor = LockstepMonitor(
-            scenario.moon, random.Random(self.effective_seed) if scenario.flags.random_selection else None
+            scenario.moon,
+            random.Random(self.effective_seed) if scenario.flags.random_selection else None,
+            self.trace if trace_enabled else None,
         )
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
@@ -114,18 +122,13 @@ class World:
         )
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
-        self.trace_enabled = trace_enabled
-        self.trace: List[TraceEvent] = []
         self.mailbox: Dict[int, int] = {}
-        self.held_tx: Dict[int, BusTransaction] = {}
         # the cycle each block next acts: the end of a sleep, or the one after an answer
         self.wake = [0] * scenario.n_blocks
         # latest first, so the due ones pop off the end in declaration order
         self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
         self.irq_latency = scenario.irq_latency or [0] * scenario.n_blocks
         self.pending_irq: Dict[int, List[int]] = {}  # deliver_cycle -> block ids
-        # what no session record holds; the rest of the report reads the monitor
-        self.counters = {"rejected": 0, "masked_fault_cycles": 0}
         self.end_reason = "max_cycles"
         # the first cycle any phase can have input; set by every full step,
         # and the first step is one
@@ -190,6 +193,7 @@ class World:
         sync_arrivals: List[int] = []
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
+        held = monitor.held
         wake = self.wake
         for b in self.blocks:
             if wake[b.block_id] > c:
@@ -198,7 +202,7 @@ class World:
             if out.tx is None and b.state is not BlockState.HALTED:
                 wake[b.block_id] = c + out.sleep + 1
             else:
-                wake[b.block_id] = _NEVER  # until _answer wakes it
+                wake[b.block_id] = _NEVER  # until its answer wakes it
             if faults.pending_events:
                 self._emit_faults(3)
             if tracing:
@@ -223,16 +227,20 @@ class World:
             elif b.state is BlockState.NORMAL_PROCESSING:
                 system_queue.append((b.block_id, tx))
             else:  # voted-bus port: data or the exit read, held until served or released
-                self.held_tx[b.block_id] = tx
+                held[b.block_id] = tx
                 if b.state is BlockState.AWAITING_EXIT:
                     if tracing:
                         self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
                     exit_arrivals.append(b.block_id)
 
-        # phase 4: monitor rendezvous work
+        # phase 4: rendezvous work; its answers and phase 5's are given at
+        # the end of phase 5
         before = monitor.sync_state
-        if requests:
-            self._phase_requests(c, requests)
+        answers: List[Tuple[int, int]] = []
+        for origin, source in requests:
+            if monitor.request_sp(c, origin, source):
+                for b_id, latency in enumerate(self.irq_latency):
+                    self.pending_irq.setdefault(c + latency, []).append(b_id)
         if self.pending_irq:
             for b_id in self.pending_irq.pop(c, ()):
                 b = self.blocks[b_id]
@@ -241,23 +249,26 @@ class World:
                     wake[b_id] = start + b.cut_run(c - start)
         gathering = monitor.sync_state is SyncState.GATHERING
         if sync_arrivals:
-            self._phase_entry(c, sync_arrivals)
+            answers += monitor.finalize_rendezvous(sync_arrivals, c)
         if exit_arrivals:
-            self._phase_exit(c, exit_arrivals)
+            answers += monitor.finalize_release(exit_arrivals, c)
 
-        # phase 5: bus commit
-        if system_queue:
-            self._commit_system_bus(c, system_queue)
-        if monitor.sync_state in _VOTED_BUS_STATES:
-            self._commit_voted_bus()
+        # phase 5: bus commit: system RAM, then the voted bus while a port holds
+        # a transaction (only members do, and only until their release)
+        for b_id, tx in system_queue:
+            try:
+                answers.append((b_id, self.memory.issue(tx, voted=False)))
+            except UnmappedAddress as exc:
+                raise UnmappedAddress(exc.address, f"cycle {c}, block {b_id}: {exc.context}") from None
+        if held:
+            answers += monitor.vote(c, self.memory)
+        for b_id, response in answers:  # each block acts on its answer next cycle
+            self.mailbox[b_id] = response
+            wake[b_id] = c + 1
 
         # phase 6: observer; every budget and bus fault arises outside idle
         if monitor.sync_state is not SyncState.IDLE:
-            error = monitor.observe(c)
-            if error is not None:
-                reason, budget = error
-                detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
-                self.emit(6, "monitor", "availability_error", detail)
+            monitor.observe(c)
 
         # phase 7: the system state follows the monitor's, which only phases 4 and 6 move
         if monitor.sync_state is not before or monitor.frozen:
@@ -277,7 +288,7 @@ class World:
         cycle-windowed fault, a soak-noise upset, an IRQ delivery or a
         budget's lapse."""
         due = min(self.wake)
-        if due == self.cycle + 1 or self.held_tx:
+        if due == self.cycle + 1 or self.monitor.held:
             # nothing is due sooner; only voted ports hold a transaction, and
             # it is voted every cycle
             return self.cycle + 1
@@ -300,103 +311,6 @@ class World:
     def _emit_faults(self, phase: int) -> None:
         for target, detail in self.fault_engine.drain_events():
             self.emit(phase, target, "fault_applied", detail)
-
-    def _answer(self, b_id: int, value: int) -> None:
-        """Answer a block's transaction; it acts on the answer next cycle."""
-        self.mailbox[b_id] = value
-        self.wake[b_id] = self.cycle + 1
-
-    def _phase_requests(self, c: int, requests: List[Tuple[object, TriggerSource]]) -> None:
-        for origin, source in requests:
-            if self.monitor.request_sp(c):
-                self.emit(4, "monitor", "state_change", {"from": "idle", "to": "gathering"})
-                self.emit(4, "monitor", "irq_assert", {"origin": origin, "source": source.value})
-                for b_id, latency in enumerate(self.irq_latency):
-                    self.pending_irq.setdefault(c + latency, []).append(b_id)
-            else:
-                detail = {"origin": origin, "source": source.value, "ignored": "session_active"}
-                self.emit(4, "monitor", "trigger", detail)
-
-    def _phase_entry(self, c: int, sync_arrivals: List[int]) -> None:
-        answer = self.monitor.finalize_rendezvous(sync_arrivals, c)
-        if answer is None:
-            return
-        accepted, rejected, context = answer
-        for b_id in accepted:
-            self._answer(b_id, LockstepMonitor.ACCEPT)
-            self.emit(4, "monitor", "accept", {"block": b_id, "response": 1})
-        for b_id in rejected:
-            self._answer(b_id, LockstepMonitor.REJECT)
-            self.emit(4, "monitor", "reject", {"block": b_id, "response": 0, "context": context})
-        self.counters["rejected"] += len(rejected)
-        if accepted:
-            self.emit(4, "monitor", "irq_deassert", {})
-            self.emit(4, "monitor", "state_change", {"from": "gathering", "to": "lockstep"})
-
-    def _phase_exit(self, c: int, exit_arrivals: List[int]) -> None:
-        if self.monitor.sync_state is SyncState.LOCKSTEP:
-            self.emit(4, "monitor", "state_change", {"from": "lockstep", "to": "releasing"})
-        released = self.monitor.finalize_release(exit_arrivals, c)
-        if released is None:
-            return
-        for b_id in released:
-            self._answer(b_id, LockstepMonitor.ACCEPT)
-        self.emit(4, "monitor", "release", {"blocks": released, "response": 1})
-        self.emit(4, "monitor", "state_change", {"from": "releasing", "to": "idle"})
-        self.held_tx.clear()
-
-    def _commit_system_bus(self, c: int, system_queue: List[Tuple[int, BusTransaction]]) -> None:
-        for b_id, tx in system_queue:
-            try:
-                response = self.memory.issue(tx, voted=False)
-            except UnmappedAddress as exc:
-                raise UnmappedAddress(
-                    exc.address, f"cycle {c}, block {b_id}: {exc.context}"
-                ) from None
-            self._answer(b_id, response)
-
-    def _commit_voted_bus(self) -> None:
-        members = self.monitor.sessions[-1].accepted
-        port_inputs = [(b_id, self.held_tx.get(b_id)) for b_id in members]
-        if all(tx is None for _, tx in port_inputs):
-            return  # unanimous idle cycle: not a fault, nothing to vote
-        result = self.monitor.vote(port_inputs)
-        tracing = self.trace_enabled  # an event's detail is built only when recorded
-        if tracing:
-            matrix = ["".join("1" if x else "0" for x in row) for row in result.matrix]
-            self.emit(5, "monitor", "vote", {"ports": result.ports, "matrix": matrix})
-        if result.no_majority:
-            self.emit(5, "monitor", "no_majority", {"ports": result.ports})
-            return
-        if result.disagreement:
-            self.counters["masked_fault_cycles"] += 1
-        if result.forwarded is None:
-            return  # winning class is "no transaction": voted bus stays idle
-        fwd = result.forwarded
-        if fwd.address == LOCKSTEP_SYNC_ADDRESS:
-            # exit reads win votes but stall at the monitor; release logic owns them
-            if tracing:
-                self._emit_forward(result, stalled=1)
-            return
-        try:
-            response = self.memory.issue(fwd, voted=True)
-        except UnmappedAddress:
-            # the majority agreed on an address the voted bus cannot serve
-            if tracing:
-                self._emit_forward(result, unmapped=1)
-            self.monitor.report_bus_fault("unmapped_address")
-            return
-        if tracing:
-            self._emit_forward(result, response=response)
-        # shared-bus acknowledge: every live pending data transaction completes
-        for b_id in members:
-            if self.blocks[b_id].state is BlockState.SAFE_PROCESSING and b_id in self.held_tx:
-                self._answer(b_id, response)
-                del self.held_tx[b_id]
-
-    def _emit_forward(self, result: VoteResult, **outcome) -> None:
-        detail = {"block": result.selected_block, "tx": result.forwarded.short(), **outcome}
-        self.emit(5, "monitor", "forward", detail)
 
     # -- whole runs -----------------------------------------------------------
 
@@ -521,8 +435,8 @@ def run(
         ],
         sessions_completed=sum(s.outcome == "completed" for s in sessions),
         accepted=sum(len(s.accepted) for s in sessions),
-        rejected=world.counters["rejected"],
-        masked_fault_cycles=world.counters["masked_fault_cycles"],
+        rejected=world.monitor.rejected,
+        masked_fault_cycles=world.monitor.masked_fault_cycles,
         # the first availability error freezes the monitor and ends the run
         no_majority_cycles=sum(s.outcome == "no_majority" for s in sessions),
         availability_errors=int(world.monitor.frozen),

@@ -1,20 +1,24 @@
 """Lockstep monitor: group controller, rendezvous synchronizer, majority
 voter and availability observer.
 
-One session at a time, and one call per protocol step and cycle that returns
-every answer.  A session request asserts the group IRQ; blocking reads of the
-synchronization register stall at the monitor until the first ``n_required``
-responders are admitted together (ties within one cycle break by ascending
-block id, or by the seeded ``rng`` when given).  Everything arriving later,
-or while no session is gathering, is answered zero at once.
+One session at a time, and one call per protocol step and cycle, which emits
+the step's events and returns its ``(block, response)`` answers.  A session
+request asserts the group IRQ; blocking reads of the synchronization register stall
+at the monitor until the first ``n_required`` responders are admitted
+together (ties within one cycle break by ascending block id, or by the seeded
+``rng`` when given).  Everything arriving later, or while no session is
+gathering, is answered zero at once.
 
-While the group runs the safe program the voter counts each port's equals
-among the per-port transactions (the n x n compare matrix is derived only
-when a traced vote reads it), forwards the lowest port whose equality class
-reaches ``m_agree``, and keeps the voted bus idle when the winning class is
-"no transaction".  A cycle with no class at ``m_agree`` is a no-majority
-fault.  Controlled release stalls every exit read until all group members
-have issued theirs, then answers them together.
+While the group runs the safe program the monitor holds each member's voted
+port: the transaction it put on the bus, exit reads included, until it is
+answered or released.  The voter counts each port's equals among them (the
+n x n compare matrix is derived only when a traced vote reads it), commits
+the lowest port whose equality class reaches ``m_agree`` to the voted bus,
+answers every pending data port with the response, and keeps the voted bus
+idle when the winning class is "no transaction".  A cycle with
+no class at ``m_agree`` is a no-majority fault.  Controlled release stalls
+every exit read until all group members have issued theirs, then answers
+them together.
 
 The observer raises an availability error when gathering or execution outlive
 their cycle budgets, or at once on a no-majority cycle or a voted commit to
@@ -24,7 +28,9 @@ the system-level safe-state transition ends the run.
 The monitor owns the session records: one per session request, filled in as
 the session is admitted, rejects late readers, is released or fails.  The
 record of the current session is ``sessions[-1]``; its ``accepted`` list is
-the group membership and its cycles are the observer's budget origins.
+the group membership and its cycles are the observer's budget origins.  It
+also counts what no record holds: the rejected sync reads and the voted
+cycles in which a port disagreed and a majority still won.
 """
 
 from __future__ import annotations
@@ -32,9 +38,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bus import BusTransaction
+from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
+from .trace import TraceEvent
+
+Answers = List[Tuple[int, int]]  # (block id, response) pairs
 
 
 class InvalidConfig(ValueError):
@@ -154,55 +163,77 @@ class SessionRecord:
 class LockstepMonitor:
     """Session state machine shared by the controller, synchronizer, voter
     and observer roles.  ``rng``, when given, breaks admission ties at
-    random instead of by block id."""
+    random instead of by block id.  ``trace`` is the list the monitor's
+    events go to, None when the run is untraced; the caller passes the cycle
+    into every step."""
 
     ACCEPT = 0x01
     REJECT = 0x00
 
-    def __init__(self, config: MoonConfig, rng: Optional[random.Random] = None):
+    def __init__(self, config: MoonConfig, rng: Optional[random.Random] = None, trace=None):
         self.config = config
         self.rng = rng
+        self.trace = trace
         self.sync_state = SyncState.IDLE
         self.sessions: List[SessionRecord] = []
         self.arrived: List[int] = []  # gathered block ids of earlier cycles
         self.exited: set = set()
+        # the voted ports: each member's transaction, held until it is
+        # answered or the group is released
+        self.held: Dict[int, BusTransaction] = {}
+        self.rejected = 0
+        self.masked_fault_cycles = 0
         self.frozen = False
         self._bus_fault: Optional[str] = None  # reason for the observer
 
+    def _emit(self, cycle: int, phase: int, kind: str, detail: Dict) -> None:
+        if self.trace is not None:
+            self.trace.append(TraceEvent(cycle, phase, "monitor", kind, detail))
+
+    def _set_state(self, cycle: int, new: SyncState) -> None:
+        self._emit(cycle, 4, "state_change", {"from": self.sync_state.value, "to": new.value})
+        self.sync_state = new
+
     # -- controller --------------------------------------------------------
 
-    def request_sp(self, cycle: int) -> bool:
-        """Start a session if idle.  Returns False when a session already
-        runs (the request is dropped with a warning upstream)."""
+    def request_sp(self, cycle: int, origin, source) -> bool:
+        """Start a session if idle and assert the group IRQ; returns whether
+        it did.  While a session runs the request from ``origin`` (a block id
+        or "external") is ignored."""
         if self.sync_state is not SyncState.IDLE:
+            detail = {"origin": origin, "source": source.value, "ignored": "session_active"}
+            self._emit(cycle, 4, "trigger", detail)
             return False
-        self.sync_state = SyncState.GATHERING
+        self._set_state(cycle, SyncState.GATHERING)
+        self._emit(cycle, 4, "irq_assert", {"origin": origin, "source": source.value})
         self.sessions.append(SessionRecord(gather_cycle=cycle))
         return True
 
     # -- synchronizer: entry -----------------------------------------------
 
-    def finalize_rendezvous(
-        self, readers: List[int], cycle: int
-    ) -> Optional[Tuple[List[int], List[int], str]]:
-        """Answer this cycle's sync readers with ``(accepted, rejected,
-        context)``, or None while none gets an answer.  Outside gathering all
-        are rejected: "no_session" when idle, else "session_running".  Once
-        n_required have arrived they are admitted together: earlier cycles
-        keep first-come priority, this cycle's cohort is tie-broken by block
-        id or sampled with ``rng``, and its rest is rejected as "surplus"."""
-        if not readers:
-            return None
+    def _reject(self, cycle: int, readers: List[int], context: str) -> Answers:
+        self.rejected += len(readers)
+        for b in readers:
+            self._emit(cycle, 4, "reject", {"block": b, "response": self.REJECT, "context": context})
+        return [(b, self.REJECT) for b in readers]
+
+    def finalize_rendezvous(self, readers: List[int], cycle: int) -> Answers:
+        """Answer this cycle's sync readers; none is answered while too few
+        have arrived.  Outside gathering all are rejected: "no_session" when
+        idle, else "session_running".  Once n_required have arrived they are
+        admitted together and the IRQ is deasserted: earlier cycles keep
+        first-come priority, this cycle's cohort is tie-broken by block id or
+        sampled with ``rng``, and its rest is rejected as "surplus"."""
         if self.sync_state is SyncState.IDLE:
-            return [], readers, "no_session"
+            return self._reject(cycle, readers, "no_session")
         record = self.sessions[-1]
         if self.sync_state is not SyncState.GATHERING:
             record.rejected.extend(readers)
-            return [], readers, "session_running"
+            return self._reject(cycle, readers, "session_running")
         slots = self.config.n_required - len(self.arrived)
         if len(readers) < slots:
             self.arrived.extend(readers)
-            return None
+            return []
         cohort = sorted(readers)
         if self.rng is not None and len(cohort) > slots:
             chosen = set(self.rng.sample(cohort, slots))
@@ -212,40 +243,82 @@ class LockstepMonitor:
         record.accepted = sorted(self.arrived + [b for b in cohort if b in chosen])
         record.rejected = [b for b in cohort if b not in chosen]
         self.arrived = []
-        self.sync_state = SyncState.LOCKSTEP
-        return record.accepted, record.rejected, "surplus"
+        for b in record.accepted:
+            self._emit(cycle, 4, "accept", {"block": b, "response": self.ACCEPT})
+        answers = [(b, self.ACCEPT) for b in record.accepted]
+        answers += self._reject(cycle, record.rejected, "surplus")
+        self._emit(cycle, 4, "irq_deassert", {})
+        self._set_state(cycle, SyncState.LOCKSTEP)
+        return answers
 
     # -- synchronizer: exit -------------------------------------------------
 
-    def finalize_release(self, readers: List[int], cycle: int) -> Optional[List[int]]:
+    def finalize_release(self, readers: List[int], cycle: int) -> Answers:
         """Stall this cycle's exit readers, all group members, and release
         the whole group once every member has issued its exit read; all of
-        them are answered together.  The first exit read starts releasing."""
+        them are answered together and their held ports cleared.  The first
+        exit read starts releasing."""
         if not readers:
-            return None
-        self.sync_state = SyncState.RELEASING
+            return []
+        if self.sync_state is SyncState.LOCKSTEP:
+            self._set_state(cycle, SyncState.RELEASING)
         self.exited.update(readers)
         record = self.sessions[-1]
         if not self.exited.issuperset(record.accepted):
-            return None
+            return []
         record.release_cycle = cycle
         record.outcome = "completed"
         self.exited = set()
-        self.sync_state = SyncState.IDLE
-        return list(record.accepted)
+        self.held.clear()
+        self._emit(cycle, 4, "release", {"blocks": list(record.accepted), "response": self.ACCEPT})
+        self._set_state(cycle, SyncState.IDLE)
+        return [(b, self.ACCEPT) for b in record.accepted]
 
     # -- voter ---------------------------------------------------------------
 
-    def vote(self, port_inputs: List[Tuple[int, Optional[BusTransaction]]]) -> VoteResult:
-        ports = [b for b, _ in port_inputs]
-        result = run_vote([tx for _, tx in port_inputs], self.config.m_agree, ports)
+    def vote(self, cycle: int, bus: MemoryMap) -> Answers:
+        """Vote the members' held transactions, commit the winner to the
+        voted ``bus`` and answer the data ports it completes: every member
+        that holds a transaction and has not issued its exit read.  Called
+        only in a cycle in which a port holds a transaction."""
+        held = self.held
+        members = self.sessions[-1].accepted
+        result = run_vote([held.get(b) for b in members], self.config.m_agree, members)
+        tracing = self.trace is not None  # an event's detail is built only when recorded
+        if tracing:
+            matrix = ["".join("1" if x else "0" for x in row) for row in result.matrix]
+            self._emit(cycle, 5, "vote", {"ports": result.ports, "matrix": matrix})
         if result.no_majority:
-            self.report_bus_fault("no_majority")
-        return result
-
-    def report_bus_fault(self, reason: str) -> None:
-        """Mark a voted-bus fault for this cycle's observer."""
-        self._bus_fault = reason
+            self._emit(cycle, 5, "no_majority", {"ports": result.ports})
+            self._bus_fault = "no_majority"
+            return []
+        if result.disagreement:
+            self.masked_fault_cycles += 1
+        fwd = result.forwarded
+        if fwd is None:
+            return []  # winning class is "no transaction": voted bus stays idle
+        answers: Answers = []
+        if fwd.address == LOCKSTEP_SYNC_ADDRESS:
+            # exit reads win votes but stall at the monitor; release answers them
+            outcome = "stalled", 1
+        else:
+            try:
+                response = bus.issue(fwd, voted=True)
+            except UnmappedAddress:
+                # the majority agreed on an address the voted bus cannot serve
+                self._bus_fault = "unmapped_address"
+                outcome = "unmapped", 1
+            else:
+                outcome = "response", response
+                # shared-bus acknowledge: every live pending data transaction completes
+                exited = self.exited
+                answers = [(b, response) for b in members if b in held and b not in exited]
+                for b, _ in answers:
+                    del held[b]
+        if tracing:
+            key, value = outcome
+            self._emit(cycle, 5, "forward", {"block": result.selected_block, "tx": fwd.short(), key: value})
+        return answers
 
     # -- observer -------------------------------------------------------------
 
@@ -275,4 +348,6 @@ class LockstepMonitor:
                 reason, budget = "exec_timeout", self.config.t_exec
         self.frozen = True
         self.sessions[-1].outcome = reason
+        detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
+        self._emit(cycle, 6, "availability_error", detail)
         return reason, budget

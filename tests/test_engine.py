@@ -9,7 +9,9 @@ regardless of group size."""
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -157,7 +159,7 @@ def test_monitor_skipping_gathering_is_an_internal_error(monkeypatch):
     world = World(group_scenario(triggers=[ExternalTrigger(1, TriggerSource.EXTERNAL_IN_SCOPE)]))
     monitor = world.monitor
 
-    def request_straight_to_lockstep(cycle):  # a monitor bug: idle -> lockstep
+    def request_straight_to_lockstep(cycle, origin, source):  # a monitor bug: idle -> lockstep
         monitor.sync_state = SyncState.LOCKSTEP
         monitor.sessions.append(SessionRecord(gather_cycle=cycle, lockstep_cycle=cycle))
         return True
@@ -838,6 +840,22 @@ def test_the_report_digest_is_of_the_scenario_that_ran():
         scenario.seed = 999
     assert (report.scenario_name, report.effective_seed) == ("fig5", 1)
     assert report.scenario_hash == scenario_digest(scenario)
+
+
+@pytest.mark.parametrize("traced", [True, False], ids=["traced", "untraced"])
+@pytest.mark.parametrize("name", ["fig5", "masking_2oo3", "soak_noise", "exit_timeout"])
+def test_a_finished_world_is_freed_by_reference_counting(name, traced):
+    """No part of a world refers back to it, so a finished world and its
+    trace do not wait for the cyclic collector."""
+    world = World(load_scenario_file(str(SCENARIO_DIR / f"{name}.scn")), trace_enabled=traced)
+    gc.disable()
+    try:
+        world.run()
+        ref = weakref.ref(world)
+        del world
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- structural audits over every bundled scenario ----------------------------------------------

@@ -73,6 +73,9 @@ def check_invariants(scenario, rejected_once):
     assert report.availability_errors == (report.final_state == "safe_state")
     assert report.availability_errors == kinds.count("availability_error")
     assert report.no_majority_cycles == kinds.count("no_majority")
+    # a voted cycle with an outvoted port is masked unless no class won
+    dissent = sum(any("0" in row for row in e.detail["matrix"]) for e in trace if e.kind == "vote")
+    assert report.masked_fault_cycles == dissent - kinds.count("no_majority")
     rejects = [e for e in trace if e.kind == "reject"]
     assert report.rejected == len(rejects)
     assert {e.detail["context"] for e in rejects} <= {"surplus", "session_running", "no_session"}
