@@ -8,28 +8,33 @@ program); a zero response is a rejection and the block resumes where it left
 off.  When the safe program ends, the block issues a second read of the same
 register and stalls until the whole group is released together.
 
-Timing model: a block is ticked only when it has input: when a sleep
-(``TickOutput.sleep``) ends, or when the transaction it issued is answered.
-Compute(d) occupies d cycles.  In the block's own program a run of
-consecutive computes, up to the next instruction of another kind or the
-program's end, is one sleep: the tick that meets its first compute advances
-the pc past the whole run and sleeps the run's summed duration minus 1.
-Only an IRQ latch can need a boundary inside the run, and the engine cuts
-the sleep there when the latch takes (``cut_run``): the block wakes at the
-first boundary after the latch cycle, with the pc at that boundary's
-instruction, exactly as if it had ticked at every compute.  Safe-program
-computes are fetched one at a time, so that the fetch hook sees each index:
-each advances the pc and sleeps d - 1 cycles.  A start jitter of d sleeps
-d - 1 cycles from the boundary that took the interrupt, then issues the sync
-read.  A bus instruction issues its transaction in one tick and completes
-(pc advance plus fall-through into the next instruction) at the tick its
-answer arrives, so back-to-back bus operations issue once per cycle.
+Timing model: a block keeps its own schedule, ``wake``, the cycle it next
+acts in, and is ticked only then: when a sleep ends, or the cycle after the
+transaction it issued is answered (``answer``).  Compute(d) occupies d
+cycles.  In the block's own program a run of consecutive computes, up to the
+next instruction of another kind or the program's end, is one sleep: the
+tick that meets its first compute advances the pc past the whole run and
+sleeps the run's summed duration minus 1.  Only an IRQ latch can need a
+boundary inside the run, and ``raise_irq`` cuts the sleep there when the
+latch takes: the block wakes at the first boundary after the latch cycle,
+with the pc at that boundary's instruction, exactly as if it had ticked at
+every compute.  Safe-program computes are fetched one at a time, so that the
+fetch hook sees each index: each advances the pc and sleeps d - 1 cycles.  A
+start jitter of d sleeps d - 1 cycles from the boundary that took the
+interrupt, then issues the sync read.  A bus instruction issues its
+transaction in one tick and completes (pc advance plus fall-through into the
+next instruction) at the tick its answer arrives, so back-to-back bus
+operations issue once per cycle.  Each read and write object builds the
+transaction it issues once, as ``tx``: blocks that execute one object issue
+one transaction object, which the voter finds equal by identity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .bus import LOCKSTEP_SYNC_ADDRESS, SAFECODE_START, BusTransaction, TxKind
@@ -67,11 +72,19 @@ class Compute:
 class Read:
     address: int
 
+    @cached_property  # kept in the instance dict, past the frozen guard
+    def tx(self) -> BusTransaction:
+        return BusTransaction(TxKind.READ, self.address)
+
 
 @dataclass(frozen=True)
 class Write:
     address: int
     data: int
+
+    @cached_property
+    def tx(self) -> BusTransaction:
+        return BusTransaction(TxKind.WRITE, self.address, self.data)
 
 
 @dataclass(frozen=True)
@@ -88,28 +101,6 @@ Instruction = Union[Compute, Read, Write, TriggerSP, Halt]
 
 # every sync and exit read of every block is this one transaction
 SYNC_READ = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
-
-
-def _transaction(instr: Union[Read, Write]) -> BusTransaction:
-    if isinstance(instr, Read):
-        return BusTransaction(TxKind.READ, instr.address)
-    return BusTransaction(TxKind.WRITE, instr.address, instr.data)
-
-
-def _voted_transaction(instr: Union[Read, Write]) -> BusTransaction:
-    """The transaction a safe-code read or write issues, built when the
-    object is first executed and kept on it: lockstep members that execute
-    one object issue one transaction object, which the voter finds equal by
-    identity.  Normal code's transactions are not kept: the system bus does
-    not vote, and an attribute beyond the check mark costs an instruction
-    object a dict of its own, which a long normal program would pay for
-    every read and write."""
-    try:
-        return instr._tx
-    except AttributeError:
-        tx = _transaction(instr)
-        object.__setattr__(instr, "_tx", tx)  # past the frozen dataclass's guard
-        return tx
 
 
 class BlockState(Enum):
@@ -139,7 +130,7 @@ class ProcessingBlock:
         safe_program: Sequence[Instruction],
     ):
         self.block_id = block_id
-        self.program = list(program)
+        self.program = program  # shared, read-only
         self.safe_program = safe_program  # shared, read-only
         self.state = BlockState.NORMAL_PROCESSING
         self.pc = 0
@@ -148,23 +139,42 @@ class ProcessingBlock:
         # fault knobs (set by the fault engine)
         self.ignore_irq = False
         self.sync_delay = 0
-        self.safe_override: Optional[Tuple[int, List[Instruction]]] = None
+        self.safe_override: Optional[Tuple[int, Sequence[Instruction]]] = None
         self.safe_fetch_hook: Optional[Callable[["ProcessingBlock", int], None]] = None
         self._sync_on_wake = False  # a start jitter is delaying the sync read
-        # the run of computes the block sleeps through: its first pc and its
-        # length in cycles, 0 when the last tick started no run
+        # the cycle the block next acts in: the end of a sleep, the cycle after
+        # an answer, or never while it waits for one or once it halts
+        self.wake: float = 0
+        self._answer: Optional[int] = None
+        # the run of computes the block sleeps through: its first pc, and the
+        # cycle it started in, None when it sleeps through none
         self.run_pc = 0
-        self.run_cycles = 0
+        self._run_start: Optional[int] = None
 
     # -- external stimulus ------------------------------------------------
 
-    def raise_irq(self) -> bool:
-        """Latch the group interrupt.  Halted blocks and no-show faulted
-        blocks ignore it.  Returns whether the latch took."""
+    def raise_irq(self, cycle: int) -> bool:
+        """Latch the group interrupt in ``cycle``.  Halted blocks and no-show
+        faulted blocks ignore it.  A latch that takes during a run of computes
+        ends the run at its first boundary after ``cycle``, where the latch is
+        taken: the block wakes there, with the pc at that boundary's
+        instruction.  Returns whether the latch took."""
         if self.state is BlockState.HALTED or self.ignore_irq:
             return False
         self.pending_irq = True
+        if self._run_start is not None:
+            pc, boundary = self.run_pc, self._run_start
+            while boundary <= cycle:
+                boundary += self.program[pc].duration
+                pc += 1
+            self.pc, self.wake, self._run_start = pc, boundary, None
         return True
+
+    def answer(self, response: int, cycle: int) -> None:
+        """Answer the block's transaction in ``cycle`` (sync/exit release value
+        or data answer); the block acts on it at its tick in the next cycle."""
+        self._answer = response
+        self.wake = cycle + 1
 
     # -- helpers -----------------------------------------------------------
 
@@ -199,39 +209,29 @@ class ProcessingBlock:
                 return alt[off] if off < len(alt) else None
         return self.safe_program[idx] if idx < len(self.safe_program) else None
 
-    def _sleep_run(self) -> int:
-        """Advance the pc past the run of computes that starts at it and
-        return the run's length in cycles."""
+    def _sleep_run(self, cycle: int) -> int:
+        """Start the run of computes at the pc in ``cycle``: advance the pc
+        past it and return its length in cycles."""
         program = self.program
         pc = self.run_pc = self.pc
+        self._run_start = cycle
         cycles = 0
         while pc < len(program) and isinstance(program[pc], Compute):
             cycles += program[pc].duration
             pc += 1
         self.pc = pc
-        self.run_cycles = cycles
         return cycles
-
-    def cut_run(self, slept: int) -> int:
-        """An IRQ latch took ``slept`` cycles after the tick that started the
-        run: end the run at its first boundary after that, where the latch is
-        taken, and set the pc to the instruction there.  Returns the
-        boundary's offset from the run's first cycle."""
-        pc, boundary = self.run_pc, 0
-        while boundary <= slept:
-            boundary += self.program[pc].duration
-            pc += 1
-        self.pc = pc
-        self.run_cycles = 0
-        return boundary
 
     # -- the tick ----------------------------------------------------------
 
-    def tick(self, response: Optional[int] = None) -> TickOutput:
-        """Advance one cycle on input: ``response`` answers the block's
-        transaction (sync/exit release value or data answer); None ends a sleep."""
+    def tick(self, cycle: int) -> TickOutput:
+        """Act in ``cycle``, the block's wake: on the answer to its
+        transaction when one came, else at the end of a sleep.  Sets the next
+        wake: the end of the sleep the tick starts, or never while the block
+        waits for an answer or once it halts."""
         out = TickOutput()
-        self.run_cycles = 0
+        response, self._answer = self._answer, None
+        self._run_start = None
         if response is not None:
             if self.state is BlockState.AWAITING_SYNC and response & 0xFF:
                 self._change(out, BlockState.SAFE_PROCESSING)
@@ -244,35 +244,38 @@ class ProcessingBlock:
             else:  # a bus operation completed
                 self.pc += 1
             # fall through: execute this tick from the new pc
-        elif self._sync_on_wake:
+
+        if self._sync_on_wake and response is None:
             self._sync_on_wake = False
             self._enter_sync(out)
-            return out
-
-        # instruction boundary
-        if self.pending_irq and self.state is BlockState.NORMAL_PROCESSING:
+        elif self.pending_irq and self.state is BlockState.NORMAL_PROCESSING:
+            # an instruction boundary takes the latch
             self.pending_irq = False
             if self.sync_delay > 0:
                 out.sleep = self.sync_delay - 1
                 self.sync_delay = 0
                 self._sync_on_wake = True
-                return out
-            self._enter_sync(out)
-            return out
+            else:
+                self._enter_sync(out)
+        else:
+            self._execute(out, cycle)
+        if out.tx is None and self.state is not BlockState.HALTED:
+            self.wake = cycle + out.sleep + 1
+        else:
+            self.wake = math.inf
+        return out
 
-        return self._execute(out)
-
-    def _execute(self, out: TickOutput) -> TickOutput:
+    def _execute(self, out: TickOutput, cycle: int) -> None:
         safe = self.state is BlockState.SAFE_PROCESSING
         if safe:
             instr = self._fetch_safe()
             if instr is None:
                 self._enter_exit(out)
-                return out
+                return
         else:
             if self.pc >= len(self.program):
                 self._change(out, BlockState.HALTED)
-                return out
+                return
             instr = self.program[self.pc]
 
         if isinstance(instr, Compute):
@@ -280,9 +283,9 @@ class ProcessingBlock:
                 self.pc += 1
                 out.sleep = instr.duration - 1
             else:
-                out.sleep = self._sleep_run() - 1
+                out.sleep = self._sleep_run(cycle) - 1
         elif isinstance(instr, (Read, Write)):
-            out.tx = _voted_transaction(instr) if safe else _transaction(instr)
+            out.tx = instr.tx
         elif isinstance(instr, TriggerSP):
             out.trigger = instr.source
             self.pc += 1
@@ -290,4 +293,3 @@ class ProcessingBlock:
             self._change(out, BlockState.HALTED)
         else:  # pragma: no cover - closed instruction set
             raise TypeError(f"unknown instruction {instr!r}")
-        return out

@@ -8,12 +8,11 @@ executes seven phases in a fixed order:
 3. block ticks, ascending block id, of the blocks that have input
    (transactions collected, not yet served; the state a tick ends in names
    its transaction: a sync read, an exit read, voted data or a system-bus
-   access).  ``World.wake`` holds the cycle each block next acts: the end of
-   a run of computes (see ``block``) or of a safe-program compute or a start
-   jitter, the cycle after its transaction is answered, or never once it
-   halts.  What it latches meanwhile (an IRQ, a fault knob) it reads when it
-   wakes; an IRQ latch that takes during a run moves the wake to the run's
-   first instruction boundary after the latch cycle, in phase 4.
+   access).  Each block keeps its own ``wake``, the cycle it next acts in
+   (see ``block``), and is ticked only then.  What it latches meanwhile (an
+   IRQ, a fault knob) it reads when it wakes; an IRQ latch that takes during
+   a run of computes cuts the run at its first instruction boundary after
+   the latch cycle, in phase 4.
 4. rendezvous work: the monitor takes the session requests, then the world
    delivers the IRQ latches due (latency 0 included), then the monitor takes
    the entry arrivals (admission) and the exit arrivals (group release)
@@ -91,7 +90,6 @@ _SYSTEM_STATE_OF = {
     SyncState.LOCKSTEP: SystemState.SAFE_PROCESSING_MODE,
     SyncState.RELEASING: SystemState.SAFE_PROCESSING_MODE,
 }
-_NEVER = float("inf")  # the wake of a block waiting for an answer, or halted
 
 
 class World:
@@ -122,9 +120,6 @@ class World:
         )
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
-        self.mailbox: Dict[int, int] = {}
-        # the cycle each block next acts: the end of a sleep, or the one after an answer
-        self.wake = [0] * scenario.n_blocks
         # latest first, so the due ones pop off the end in declaration order
         self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
         self.irq_latency = scenario.irq_latency or [0] * scenario.n_blocks
@@ -194,15 +189,10 @@ class World:
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
         held = monitor.held
-        wake = self.wake
         for b in self.blocks:
-            if wake[b.block_id] > c:
+            if b.wake > c:
                 continue  # asleep, or waiting for an answer
-            out = b.tick(self.mailbox.pop(b.block_id, None))
-            if out.tx is None and b.state is not BlockState.HALTED:
-                wake[b.block_id] = c + out.sleep + 1
-            else:
-                wake[b.block_id] = _NEVER  # until its answer wakes it
+            out = b.tick(c)
             if faults.pending_events:
                 self._emit_faults(3)
             if tracing:
@@ -243,10 +233,7 @@ class World:
                     self.pending_irq.setdefault(c + latency, []).append(b_id)
         if self.pending_irq:
             for b_id in self.pending_irq.pop(c, ()):
-                b = self.blocks[b_id]
-                if b.raise_irq() and b.run_cycles:  # wake at the run's next boundary
-                    start = wake[b_id] - b.run_cycles
-                    wake[b_id] = start + b.cut_run(c - start)
+                self.blocks[b_id].raise_irq(c)
         gathering = monitor.sync_state is SyncState.GATHERING
         if sync_arrivals:
             answers += monitor.finalize_rendezvous(sync_arrivals, c)
@@ -263,8 +250,7 @@ class World:
         if held:
             answers += monitor.vote(c, self.memory)
         for b_id, response in answers:  # each block acts on its answer next cycle
-            self.mailbox[b_id] = response
-            wake[b_id] = c + 1
+            self.blocks[b_id].answer(response, c)
 
         # phase 6: observer; every budget and bus fault arises outside idle
         if monitor.sync_state is not SyncState.IDLE:
@@ -287,7 +273,7 @@ class World:
         the vote of a held transaction, a block's wake, a trigger, a
         cycle-windowed fault, a soak-noise upset, an IRQ delivery or a
         budget's lapse."""
-        due = min(self.wake)
+        due = min([b.wake for b in self.blocks])
         if due == self.cycle + 1 or self.monitor.held:
             # nothing is due sooner; only voted ports hold a transaction, and
             # it is voted every cycle

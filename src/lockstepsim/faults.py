@@ -123,7 +123,7 @@ class FaultEngine:
                 self._pending_divergent[block.block_id] = spec
                 detail["deferred"] = 1
             else:
-                block.safe_override = (safe_idx, list(spec.program or ()))
+                block.safe_override = (safe_idx, spec.program or ())
                 detail["at_safe_instr"] = safe_idx
         else:  # bit flips: arm for the next data transaction
             self._armed_flips.setdefault(block.block_id, []).append(spec)
@@ -150,7 +150,7 @@ class FaultEngine:
         each block; fires just before the k-th safe instruction executes."""
         pending = self._pending_divergent.pop(block.block_id, None)
         if pending is not None:
-            block.safe_override = (safe_idx, list(pending.program or ()))
+            block.safe_override = (safe_idx, pending.program or ())
             self.pending_events.append(
                 (block.block_id, {"fault": pending.kind.value, "window": "cycle", "applied_at": safe_idx})
             )

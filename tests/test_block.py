@@ -1,12 +1,11 @@
 """Processing block timing and state machine, driven cycle by cycle.
 
-The harness below plays the engine's side: it ticks the block only when the
-block has input, at the end of a sleep or the cycle after its transaction is
-answered, and decides when each answer comes.  An answer given in cycle t
-is consumed at the block's tick in t+1, with the fall-through into the next
-instruction, so an unstalled bus operation costs one cycle.  Its IRQ delivery
-is the engine's phase 4: a latch that takes during a run of computes wakes
-the block at the run's first boundary after the latch cycle."""
+The harness below plays the engine's side: it ticks the block when the
+block's own wake comes, and decides when each answer comes.  An answer given
+in cycle t is consumed at the block's tick in t+1, with the fall-through into
+the next instruction, so an unstalled bus operation costs one cycle.  Its IRQ
+delivery is the engine's phase 4: a latch that takes during a run of computes
+wakes the block at the run's first boundary after the latch cycle."""
 
 from __future__ import annotations
 
@@ -37,8 +36,6 @@ class EngineSide:
     def __init__(self, program, safe=SAFE):
         self.block = ProcessingBlock(0, program, safe)
         self.cycle = 0
-        self.wake = 1  # the cycle the block next acts
-        self.response = None
         self.ticks = {}  # cycle -> TickOutput
 
     def run(self, until, answers=None):
@@ -48,31 +45,18 @@ class EngineSide:
         while True:
             c = self.cycle
             if c in answers:  # phases 4-5 of cycle c
-                assert self.wake == math.inf and self.block.state is not BlockState.HALTED
-                self.response = answers[c]
-                self.wake = c + 1
+                assert self.block.wake == math.inf and self.block.state is not BlockState.HALTED
+                self.block.answer(answers[c], c)
             if c == until:
                 break
             self.cycle = c = c + 1
-            if self.wake <= c:  # phase 3
-                out = self.block.tick(self.response)
-                self.response = None
-                self.ticks[c] = out
-                if out.tx is not None or self.block.state is BlockState.HALTED:
-                    self.wake = math.inf
-                else:
-                    self.wake = c + out.sleep + 1
+            if self.block.wake <= c:  # phase 3
+                self.ticks[c] = self.block.tick(c)
         return self
 
     def latch(self):
-        """Phase 4 of the current cycle: deliver the IRQ, and when the latch
-        takes during a run of computes, move the wake to its next boundary."""
-        block = self.block
-        took = block.raise_irq()
-        if took and block.run_cycles:
-            start = self.wake - block.run_cycles
-            self.wake = start + block.cut_run(self.cycle - start)
-        return took
+        """Phase 4 of the current cycle: deliver the IRQ."""
+        return self.block.raise_irq(self.cycle)
 
     def issued(self):
         """(cycle, address) of every transaction issued so far."""
@@ -104,9 +88,10 @@ def test_back_to_back_computes():
 @pytest.mark.parametrize("duration", [1, 2, 7])
 def test_a_compute_advances_the_pc_at_once_and_sleeps_the_rest(duration):
     block = ProcessingBlock(0, [Compute(duration), Write(0x100, 1), Halt()], SAFE)
-    out = block.tick()
+    out = block.tick(1)
     assert (out.tx, out.sleep, block.pc) == (None, duration - 1, 1)
-    assert block.tick().tx == BusTransaction(TxKind.WRITE, 0x100, 1)
+    assert block.wake == 1 + duration
+    assert block.tick(1 + duration).tx == BusTransaction(TxKind.WRITE, 0x100, 1)
 
 
 def test_bus_op_issue_then_one_cycle_stall():
@@ -139,7 +124,7 @@ def test_program_end_halts():
 def test_irq_taken_at_instruction_boundary_only():
     """An IRQ latched mid-compute is honored only when the compute ends."""
     side = EngineSide([Compute(10), Halt()]).run(1)
-    assert side.block.raise_irq()
+    assert side.latch()
     side.run(12)
     assert list(side.ticks) == [1, 11]
     assert side.block.state is BlockState.AWAITING_SYNC
@@ -149,7 +134,7 @@ def test_irq_taken_at_instruction_boundary_only():
 
 def test_irq_at_boundary_preempts_next_instruction():
     side = EngineSide([Compute(1), Write(0x100, 9), Halt()]).run(1)
-    side.block.raise_irq()
+    side.latch()
     side.run(2)
     assert side.block.state is BlockState.AWAITING_SYNC  # the write at pc=1 is deferred
     assert side.issued() == [(2, LOCKSTEP_SYNC_ADDRESS)]
@@ -159,7 +144,7 @@ def test_irq_at_boundary_preempts_next_instruction():
 def test_halted_block_ignores_irq():
     side = EngineSide([Halt()]).run(1)
     assert side.block.state is BlockState.HALTED
-    assert not side.block.raise_irq()
+    assert not side.latch()
     side.run(5)
     assert list(side.ticks) == [1]
 
@@ -167,7 +152,7 @@ def test_halted_block_ignores_irq():
 def test_no_show_knob_ignores_irq():
     block = ProcessingBlock(0, [Compute(5), Halt()], SAFE)
     block.ignore_irq = True
-    assert not block.raise_irq()
+    assert not block.raise_irq(1)
     assert not block.pending_irq
 
 
@@ -190,9 +175,9 @@ def first_boundary_after(cycle):
 def test_a_latch_inside_a_run_is_taken_at_the_first_boundary_after_it(latch):
     boundary, pc = first_boundary_after(latch)
     side = EngineSide(run_program()).run(latch)
-    assert side.wake == 1 + sum(RUN)  # one sleep through the whole run
+    assert side.block.wake == 1 + sum(RUN)  # one sleep through the whole run
     assert side.latch()
-    assert side.wake == boundary
+    assert side.block.wake == boundary
     side.run(boundary + 3)
     assert list(side.ticks) == [1, boundary]
     assert side.issued() == [(boundary, LOCKSTEP_SYNC_ADDRESS)]
@@ -203,7 +188,7 @@ def test_a_no_show_latch_does_not_move_the_wake():
     side = EngineSide(run_program()).run(3)
     side.block.ignore_irq = True
     assert not side.latch()
-    assert side.wake == 12
+    assert side.block.wake == 12
     side.run(15)
     assert list(side.ticks) == [1, 12]
     assert side.block.state is BlockState.HALTED
@@ -213,7 +198,7 @@ def test_a_latch_on_the_last_boundary_does_not_move_the_wake():
     """A latch in cycle 11 is taken at the run's own end, 12."""
     side = EngineSide(run_program()).run(11)
     assert side.latch()
-    assert (side.wake, side.block.pc) == (12, len(RUN))
+    assert (side.block.wake, side.block.pc) == (12, len(RUN))
     side.run(14)
     assert list(side.ticks) == [1, 12]
     assert side.issued() == [(12, LOCKSTEP_SYNC_ADDRESS)]
@@ -234,13 +219,51 @@ def test_a_rejected_block_resumes_mid_run_and_halts_when_it_would_have():
     assert side.ticks[13].state_changes == [(BlockState.NORMAL_PROCESSING, BlockState.HALTED)]
 
 
+def test_a_latch_while_waiting_for_an_answer_keeps_the_wake():
+    side = EngineSide([Write(0x100, 1), Compute(3), Halt()]).run(2)
+    assert side.latch() and side.block.wake == math.inf
+    side.run(4)
+    side.block.answer(0, 4)
+    assert side.block.wake == 5
+    side.run(6)
+    assert list(side.ticks) == [1, 5]
+    assert side.issued() == [(1, 0x100), (5, LOCKSTEP_SYNC_ADDRESS)]  # the boundary after the write
+    assert side.block.saved_pc == 1
+
+
+def test_a_latch_while_sleeping_in_a_safe_compute_keeps_the_wake():
+    side = EngineSide([Compute(1), Halt()], safe=[Compute(4), Write(0x10000, 7)]).run(1)
+    side.latch()
+    side.run(4, answers={2: 1})  # accepted; the safe compute from 3 sleeps to 7
+    assert side.block.wake == 7
+    assert side.latch() and side.block.wake == 7
+    side.run(7)
+    assert side.issued() == [(2, LOCKSTEP_SYNC_ADDRESS), (7, 0x10000)]
+    side.block.answer(0, 7)
+    assert side.block.wake == 8
+
+
+def test_a_latch_while_sleeping_in_a_start_jitter_keeps_the_wake():
+    side = EngineSide([Compute(1), Compute(1), Halt()])
+    side.block.sync_delay = 3
+    side.run(1)
+    side.latch()
+    side.run(3)  # the boundary at 2 takes the latch and sleeps through the delay
+    assert side.block.wake == 5
+    assert side.latch() and side.block.wake == 5
+    side.run(5)
+    assert side.issued() == [(5, LOCKSTEP_SYNC_ADDRESS)]
+    side.block.answer(0, 5)
+    assert side.block.wake == 6
+
+
 # -- acceptance / rejection / release ----------------------------------------------
 
 
 def accepted_block():
     """A block that issued its sync read at cycle 2 (saved_pc = 1)."""
     side = EngineSide([Compute(1), Write(0x55, 5), Halt()]).run(1)
-    side.block.raise_irq()
+    side.latch()
     side.run(2)
     assert side.block.state is BlockState.AWAITING_SYNC
     assert side.issued() == [(2, LOCKSTEP_SYNC_ADDRESS)]
@@ -343,7 +366,7 @@ def test_fetch_hook_sees_each_safe_compute():
     and seen by the hook, at its own tick."""
     seen = []
     side = EngineSide([Compute(1), Halt()], safe=[Compute(3), Compute(1), Write(0x10000, 7)]).run(1)
-    side.block.raise_irq()
+    side.latch()
     side.run(2)
     side.block.safe_fetch_hook = lambda blk, idx: seen.append(idx)
     side.run(9, answers={2: 1, 7: 0})  # index 3 is the end-of-stream probe
@@ -371,11 +394,18 @@ def test_blocks_that_execute_one_instruction_issue_one_transaction():
     sides = [EngineSide([Compute(1), Halt()], safe=[write]) for _ in range(2)]
     for side in sides:
         side.run(1)
-        side.block.raise_irq()
+        side.latch()
         side.run(4, answers={2: 1, 3: 0})
     assert [side.ticks[2].tx for side in sides] == [SYNC_READ, SYNC_READ]
     assert sides[0].ticks[3].tx is sides[1].ticks[3].tx == BusTransaction(TxKind.WRITE, 0x10000, 7)
     assert sides[0].ticks[4].tx is sides[1].ticks[4].tx is SYNC_READ  # the exit reads
+    # normal code shares one path: one write object issues one transaction
+    # object, and an equal write built anew issues its own
+    normal = Write(0x100, 1)
+    first, second = (EngineSide([normal, Halt()]).run(1).ticks[1].tx for _ in range(2))
+    assert first is second is normal.tx == BusTransaction(TxKind.WRITE, 0x100, 1)
+    anew = EngineSide([Write(0x100, 1), Halt()]).run(1).ticks[1].tx
+    assert anew == first and anew is not first
 
 
 def test_determinism_two_identical_blocks():

@@ -668,9 +668,9 @@ def run_counting_ticks(monkeypatch, scenario):
     ticks = {b: [] for b in range(scenario.n_blocks)}
     tick = ProcessingBlock.tick
 
-    def counted(self, response=None):
+    def counted(self, cycle):
         ticks[self.block_id].append(world.cycle)
-        return tick(self, response)
+        return tick(self, cycle)
 
     monkeypatch.setattr(ProcessingBlock, "tick", counted)
     world.run()

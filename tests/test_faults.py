@@ -157,7 +157,7 @@ def test_instruction_window_fires_on_first_fetch_only():
     assert eng.drain_events() == []
 
     eng.on_safe_fetch(blocks[1], 1)
-    assert blocks[1].safe_override == (1, list(alt))
+    assert blocks[1].safe_override == (1, alt)
     blocks[1].safe_override = None
     eng.on_safe_fetch(blocks[1], 1)
     assert blocks[1].safe_override is None
@@ -259,7 +259,7 @@ def test_divergent_at_instruction_swaps_remaining_stream():
     )
     blocks = make_blocks()
     eng.on_safe_fetch(blocks[0], 1)
-    assert blocks[0].safe_override == (1, list(alt))
+    assert blocks[0].safe_override == (1, alt)
 
 
 def test_divergent_at_cycle_defers_to_next_fetch():
@@ -272,7 +272,7 @@ def test_divergent_at_cycle_defers_to_next_fetch():
     assert eng.drain_events()[0][1].get("deferred") == 1
     assert blocks[0].safe_override is None
     eng.on_safe_fetch(blocks[0], 0)
-    assert blocks[0].safe_override == (0, list(alt))
+    assert blocks[0].safe_override == (0, alt)
     assert eng.drain_events()[0][1]["applied_at"] == 0
 
 
