@@ -140,7 +140,7 @@ class ProcessingBlock:
         self.ignore_irq = False
         self.sync_delay = 0
         self.safe_override: Optional[Tuple[int, Sequence[Instruction]]] = None
-        self.safe_fetch_hook: Optional[Callable[["ProcessingBlock", int], None]] = None
+        self.safe_fetch_hook: Optional[Callable[["ProcessingBlock", int, int], None]] = None
         self._sync_on_wake = False  # a start jitter is delaying the sync read
         # the cycle the block next acts in: the end of a sleep, the cycle after
         # an answer, or never while it waits for one or once it halts
@@ -198,10 +198,10 @@ class ProcessingBlock:
     def _safe_index(self) -> int:
         return self.pc - SAFECODE_START
 
-    def _fetch_safe(self) -> Optional[Instruction]:
+    def _fetch_safe(self, cycle: int) -> Optional[Instruction]:
         idx = self._safe_index()
         if self.safe_fetch_hook is not None:
-            self.safe_fetch_hook(self, idx)
+            self.safe_fetch_hook(self, idx, cycle)
         if self.safe_override is not None:
             start, alt = self.safe_override
             if idx >= start:
@@ -268,7 +268,7 @@ class ProcessingBlock:
     def _execute(self, out: TickOutput, cycle: int) -> None:
         safe = self.state is BlockState.SAFE_PROCESSING
         if safe:
-            instr = self._fetch_safe()
+            instr = self._fetch_safe(cycle)
             if instr is None:
                 self._enter_exit(out)
                 return

@@ -23,7 +23,7 @@ from .bus import UnmappedAddress
 from .engine import Report, SimInternalError, run
 from .scenario import ScenarioError, load_scenario_file, scenario_digest
 from .sweep import load_sweep_file
-from .trace import IOFailure, write_trace
+from .trace import IOFailure, emit_trace, write_trace
 
 EXIT_OK = 0
 EXIT_SWEEP_FAIL = 1
@@ -93,8 +93,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario_file(args.scenario)
     report = run(scenario, seed=args.seed, max_cycles=args.max_cycles)
     if args.trace == "-":
-        from .trace import emit_trace
-
         sys.stdout.write(emit_trace(report.trace, fmt=args.format).decode("ascii"))
     elif args.trace:
         write_trace(report.trace, args.trace, fmt=args.format)

@@ -3,7 +3,8 @@
 One world = blocks + memory map + monitor + fault engine + trace.  Each cycle
 executes seven phases in a fixed order:
 
-1. scheduled fault activation
+1. the fault engine's cycle schedule: the cycle-windowed faults and the
+   soak-noise upsets due, a block's declared faults before its upset
 2. scheduled external triggers
 3. block ticks, ascending block id, of the blocks that have input
    (transactions collected, not yet served; the state a tick ends in names
@@ -25,13 +26,15 @@ executes seven phases in a fixed order:
 7. system-level state transitions
 
 The monitor emits its own events and returns the ``(block, response)``
-answers of each step; the world owns the blocks and answers them.  Answers
+answers of each step; the world owns the blocks and answers them.  The fault
+engine emits its own events too: in phase 1, and in phase 3 at a block's safe
+fetch or on its outgoing transaction, before the tick's own events.  Answers
 produced in phases 4-5 of cycle t wake the issuing block for its tick in
 cycle t+1, so an unstalled bus operation costs one cycle.
 
 Every full step ends by setting ``World._due``: the first cycle on which any
 phase can have input.  That is the earliest block wake, trigger,
-cycle-windowed fault, soak-noise upset, IRQ delivery or session budget, or
+cycle-windowed fault or soak-noise upset, IRQ delivery or session budget, or
 the next cycle while a voted port holds a transaction.  A cycle before it has
 no input at all: ``step()`` advances the cycle and returns.  Within a full
 step, a phase with no input is skipped as well.  Either way ``step()``
@@ -104,19 +107,21 @@ class World:
         self.trace_enabled = trace_enabled
         self.trace: List[TraceEvent] = []
         # the seed's own stream drives random selection only; soak noise has
-        # its own.  The monitor gets the event list, not the world: a finished
-        # world is then freed by reference counting alone.
+        # its own.  The monitor and the fault engine get the event list, not
+        # the world: a finished world is then freed by reference counting alone.
+        events = self.trace if trace_enabled else None
         self.monitor = LockstepMonitor(
             scenario.moon,
             random.Random(self.effective_seed) if scenario.flags.random_selection else None,
-            self.trace if trace_enabled else None,
+            events,
         )
         self.blocks = [
             ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
             for i in range(scenario.n_blocks)
         ]
         self.fault_engine = FaultEngine(
-            scenario.faults, scenario.noise_flip_probability, self.effective_seed, scenario.n_blocks
+            scenario.faults, scenario.noise_flip_probability, self.effective_seed, scenario.n_blocks,
+            events,
         )
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
@@ -165,14 +170,9 @@ class World:
         faults = self.fault_engine
         monitor = self.monitor
 
-        # phase 1: scheduled fault activation, then seeded soak noise
-        due = faults.next_cycle
-        if due is not None and due <= c:
+        # phase 1: the cycle-windowed faults and soak-noise upsets due
+        if faults.next_cycle <= c:
             faults.on_cycle_start(c, self.blocks)
-        if faults.next_upset <= c:
-            faults.stochastic_flips(c, self.blocks)
-        if faults.pending_events:
-            self._emit_faults(1)
 
         # phase 2: scheduled external triggers
         requests: List[Tuple[object, TriggerSource]] = []
@@ -193,8 +193,6 @@ class World:
             if b.wake > c:
                 continue  # asleep, or waiting for an answer
             out = b.tick(c)
-            if faults.pending_events:
-                self._emit_faults(3)
             if tracing:
                 for old, new in out.state_changes:
                     self.emit(3, b.block_id, "state_change", {"from": old.value, "to": new.value})
@@ -205,9 +203,7 @@ class World:
                 requests.append((b.block_id, out.trigger))
             if out.tx is None:
                 continue
-            tx = faults.filter_tx(b.block_id, out.tx)
-            if faults.pending_events:
-                self._emit_faults(3)
+            tx = faults.filter_tx(c, b.block_id, out.tx)
             if tx is None:
                 continue  # suppressed on the wire; the block stays stalled
             if b.state is BlockState.AWAITING_SYNC:
@@ -271,7 +267,7 @@ class World:
     def _next_due(self) -> float:
         """The first cycle after this one on which any phase can have input:
         the vote of a held transaction, a block's wake, a trigger, a
-        cycle-windowed fault, a soak-noise upset, an IRQ delivery or a
+        cycle-windowed fault or soak-noise upset, an IRQ delivery or a
         budget's lapse."""
         due = min([b.wake for b in self.blocks])
         if due == self.cycle + 1 or self.monitor.held:
@@ -280,23 +276,13 @@ class World:
             return self.cycle + 1
         if self.triggers:
             due = min(due, self.triggers[-1].cycle)
-        faults = self.fault_engine
-        fault_cycle = faults.next_cycle
-        if fault_cycle is not None:
-            due = min(due, fault_cycle)
-        due = min(due, faults.next_upset)
+        due = min(due, self.fault_engine.next_cycle)
         if self.pending_irq:
             due = min(due, min(self.pending_irq))
         deadline = self.monitor.deadline
         if deadline is not None:
             due = min(due, deadline)
         return due
-
-    # -- phase helpers ------------------------------------------------------
-
-    def _emit_faults(self, phase: int) -> None:
-        for target, detail in self.fault_engine.drain_events():
-            self.emit(phase, target, "fault_applied", detail)
 
     # -- whole runs -----------------------------------------------------------
 

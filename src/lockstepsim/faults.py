@@ -10,22 +10,21 @@ to execute the k-th safe-program instruction".  Each scheduled fault fires
 once.  Bit flips are single upsets: armed by their window, consumed by the
 next data transaction, then gone.
 
-Soak noise is a schedule too.  Each live block is upset on a cycle with
-probability ``flip_probability``, independently of every other cycle and
-block.  Rather than one Bernoulli draw per block and cycle, each block keeps
-the cycle of its next upset: after an upset at cycle t (or from cycle 0) the
-next one is ``t + 1 + floor(log(1 - U) / log1p(-p))``, the geometric
-inter-arrival time of the same law (Devroye 1986), drawn from the block's own
-stream ``random.Random(f"noise:{seed}:{block_id}")``.
-
-Every activation and flip queues a (target, detail) event; the engine drains
-the one queue after each hook and emits each drain in block order.
+Soak noise shares the cycle schedule.  Each live block is upset on a cycle
+with probability ``flip_probability``, independently of every other cycle
+and block.  Rather than one Bernoulli draw per block and cycle, each block
+keeps the cycle of its next upset on the schedule: after an upset at cycle t
+(or from cycle 0) the next one is ``t + 1 + floor(log(1 - U) / log1p(-p))``,
+the geometric inter-arrival time of the same law (Devroye 1986), drawn from
+the block's own stream ``random.Random(f"noise:{seed}:{block_id}")``.  An
+upset comes after the block's declared faults of its cycle.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
@@ -33,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .block import BlockState, Instruction, ProcessingBlock
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction
+from .trace import TraceEvent
 
 
 class FaultKind(Enum):
@@ -76,39 +76,51 @@ class FaultEngine:
     Each scheduled fault sits in one schedule until it activates and leaves
     it then, so every fault fires once.  Soak noise, when ``flip_probability``
     is above zero, upsets blocks ``0 .. n_blocks - 1`` on the cycles drawn
-    from their streams, which ``seed`` names."""
+    from their streams, which ``seed`` names; each block's next upset sits on
+    the schedule of the cycle-windowed faults.  ``trace`` is the list the
+    ``fault_applied`` events go to, None when the run is untraced; every hook
+    takes the cycle it runs in."""
 
     def __init__(
-        self, specs: List[FaultSpec], flip_probability: float = 0.0, seed: int = 0, n_blocks: int = 0
+        self, specs: List[FaultSpec], flip_probability: float = 0.0, seed: int = 0,
+        n_blocks: int = 0, trace=None,
     ):
-        # soak noise, per block: its stream and the cycle of its next upset;
-        # at p = 1 there is no log1p(-p), and every cycle is an upset
-        self._log_q = math.log1p(-flip_probability) if flip_probability < 1.0 else None
-        self._noise: List[random.Random] = []
-        if flip_probability > 0.0:
-            self._noise = [random.Random(f"noise:{seed}:{b_id}") for b_id in range(n_blocks)]
-        self._upsets: List[float] = [self._upset_after(0, rng) for rng in self._noise]
-        # the first cycle a block is due an upset; infinite without noise
-        self.next_upset: float = min(self._upsets, default=math.inf)
-        # cycle-windowed faults as (at_cycle, target, declaration index, spec),
-        # latest first so that the due ones pop off the end
-        self._by_cycle: List[Tuple[int, int, int, FaultSpec]] = []
+        self.trace = trace
+        # the cycle schedule, ascending: (at_cycle, target, declaration index,
+        # spec) per cycle-windowed fault and (cycle, target, inf, None) per
+        # block's next upset, which comes after the block's declared faults
+        self._schedule: List[Tuple[int, int, float, Optional[FaultSpec]]] = []
         # instruction-windowed faults by (target, safe index), declaration order
         self._by_fetch: Dict[Tuple[int, int], List[FaultSpec]] = {}
         for i, s in enumerate(specs):
             if s.at_cycle is not None:
-                self._by_cycle.append((s.at_cycle, s.target, i, s))
+                self._schedule.append((s.at_cycle, s.target, i, s))
             else:
                 self._by_fetch.setdefault((s.target, s.at_safe_instr), []).append(s)
-        self._by_cycle.sort(reverse=True)
+        self._schedule.sort()
+        # soak noise, per block: its stream; at p = 1 there is no log1p(-p),
+        # and every cycle is an upset
+        self._log_q = math.log1p(-flip_probability) if flip_probability < 1.0 else None
+        self._noise: List[random.Random] = []
+        if flip_probability > 0.0:
+            self._noise = [random.Random(f"noise:{seed}:{b_id}") for b_id in range(n_blocks)]
+        for b_id in range(len(self._noise)):
+            self._schedule_upset(0, b_id)
         self.suppressed: set = set()
         self._armed_flips: Dict[int, List[FaultSpec]] = {}
         self._pending_divergent: Dict[int, FaultSpec] = {}
-        self.pending_events: List[Tuple[int, dict]] = []  # (target, detail)
+
+    def _emit(self, cycle: int, phase: int, target: int, detail: dict) -> None:
+        if self.trace is not None:
+            self.trace.append(TraceEvent(cycle, phase, target, "fault_applied", detail))
 
     # -- activation ----------------------------------------------------------
 
-    def _activate(self, spec: FaultSpec, block: ProcessingBlock, via: str, safe_idx=None):
+    def _activate(
+        self, cycle: int, spec: FaultSpec, block: ProcessingBlock, via: str = "cycle", safe_idx=None
+    ):
+        """Apply one fault: in phase 1 from the cycle schedule, or in phase 3
+        at the fetch of safe index ``safe_idx``."""
         detail = {"fault": spec.kind.value, "window": via}
         if spec.kind is FaultKind.NO_SHOW:
             block.ignore_irq = True
@@ -128,38 +140,42 @@ class FaultEngine:
         else:  # bit flips: arm for the next data transaction
             self._armed_flips.setdefault(block.block_id, []).append(spec)
             detail["bit"] = spec.bit
-        self.pending_events.append((block.block_id, detail))
+        self._emit(cycle, 1 if safe_idx is None else 3, block.block_id, detail)
 
     @property
-    def next_cycle(self) -> Optional[int]:
-        """The cycle of the next cycle-windowed activation, None when none is left."""
-        return self._by_cycle[-1][0] if self._by_cycle else None
+    def next_cycle(self) -> float:
+        """The first cycle a cycle-windowed fault or an upset falls due,
+        infinite when the schedule is empty."""
+        return self._schedule[0][0] if self._schedule else math.inf
 
     def on_cycle_start(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
-        """Activate every cycle-windowed fault whose time has come, in
-        (target, declaration) order."""
+        """Activate every cycle-windowed fault and upset whose time has come,
+        in (target, order) order: a block's declared faults, then its upset."""
+        schedule = self._schedule
         due = []
-        while self._by_cycle and self._by_cycle[-1][0] <= cycle:
-            due.append(self._by_cycle.pop())
-        due.sort(key=lambda entry: entry[1:3])  # (target, declaration index)
+        while schedule and schedule[0][0] <= cycle:
+            due.append(schedule.pop(0))
+        due.sort(key=itemgetter(1, 2))
         for _, target, _, spec in due:
-            self._activate(spec, blocks[target], via="cycle")
+            if spec is not None:
+                self._activate(cycle, spec, blocks[target])
+            else:
+                self._upset(cycle, blocks[target])
 
-    def on_safe_fetch(self, block: ProcessingBlock, safe_idx: int) -> None:
+    def on_safe_fetch(self, block: ProcessingBlock, safe_idx: int, cycle: int) -> None:
         """Fetch-time hook for instruction-windowed activation, installed on
         each block; fires just before the k-th safe instruction executes."""
         pending = self._pending_divergent.pop(block.block_id, None)
         if pending is not None:
             block.safe_override = (safe_idx, pending.program or ())
-            self.pending_events.append(
-                (block.block_id, {"fault": pending.kind.value, "window": "cycle", "applied_at": safe_idx})
-            )
+            detail = {"fault": pending.kind.value, "window": "cycle", "applied_at": safe_idx}
+            self._emit(cycle, 3, block.block_id, detail)
         for spec in self._by_fetch.pop((block.block_id, safe_idx), ()):
-            self._activate(spec, block, via="safe_instr", safe_idx=safe_idx)
+            self._activate(cycle, spec, block, "safe_instr", safe_idx)
 
     # -- transaction filtering -------------------------------------------------
 
-    def filter_tx(self, block_id: int, tx: BusTransaction) -> Optional[BusTransaction]:
+    def filter_tx(self, cycle: int, block_id: int, tx: BusTransaction) -> Optional[BusTransaction]:
         """Apply suppression and armed single-upset flips to one outgoing
         transaction; None when it never reaches the wire.  Flips touch data
         transactions only; the rendezvous and release reads of the sync
@@ -169,59 +185,43 @@ class FaultEngine:
         if tx.address == LOCKSTEP_SYNC_ADDRESS:
             return tx
         for spec in self._armed_flips.pop(block_id, ()):
-            before = tx.short()
             if spec.kind is FaultKind.BIT_FLIP_DATA:
-                tx = BusTransaction(tx.kind, tx.address, tx.data ^ (1 << spec.bit))
+                flipped = BusTransaction(tx.kind, tx.address, tx.data ^ (1 << spec.bit))
             else:
-                tx = BusTransaction(tx.kind, tx.address ^ (1 << spec.bit), tx.data)
-            self.pending_events.append(
-                (
-                    block_id,
-                    {
-                        "fault": spec.kind.value,
-                        "bit": spec.bit,
-                        "before": before,
-                        "after": tx.short(),
-                    },
-                )
-            )
+                flipped = BusTransaction(tx.kind, tx.address ^ (1 << spec.bit), tx.data)
+            if self.trace is not None:
+                self._emit(cycle, 3, block_id, {
+                    "fault": spec.kind.value, "bit": spec.bit,
+                    "before": tx.short(), "after": flipped.short(),
+                })
+            tx = flipped
         return tx
 
-    def drain_events(self) -> List[Tuple[int, dict]]:
-        """Take the queued (target, detail) events, ordered by target; the
-        sort is stable, so one block's events keep their queue order."""
-        events, self.pending_events = self.pending_events, []
-        events.sort(key=itemgetter(0))
-        return events
+    # -- soak noise --------------------------------------------------------------
 
-    def _upset_after(self, cycle: int, rng: random.Random) -> float:
-        """The cycle of the first upset after ``cycle``: every cycle at p = 1,
-        never when the gap is too large for a float."""
+    def _schedule_upset(self, cycle: int, b_id: int) -> None:
+        """Put the block's first upset after ``cycle`` on the schedule: every
+        cycle at p = 1, never when the gap is too large for a float."""
         if self._log_q is None:
-            return cycle + 1
-        gap = math.log(1.0 - rng.random()) / self._log_q
-        return cycle + 1 + math.floor(gap) if gap < math.inf else math.inf
+            due = cycle + 1
+        else:
+            gap = math.log(1.0 - self._noise[b_id].random()) / self._log_q
+            if gap == math.inf:
+                return
+            due = cycle + 1 + math.floor(gap)
+        insort(self._schedule, (due, b_id, math.inf, None))
 
-    def stochastic_flips(self, cycle: int, blocks: List[ProcessingBlock]) -> None:
-        """Seeded soak mode: arm a random data-bit upset, for its next data
-        transaction, on each block whose upset is due at ``cycle``, then draw
-        the block's next upset.  A halted block's upset is dropped and it
-        draws no more; so is the upset of a block whose flip is still armed,
-        without a bit, so that at most one stochastic flip is pending per block."""
-        upsets = self._upsets
-        for b_id, due in enumerate(upsets):
-            if due > cycle:
-                continue
-            if blocks[b_id].state is BlockState.HALTED:
-                upsets[b_id] = math.inf
-                continue
-            rng = self._noise[b_id]
-            if not self._armed_flips.get(b_id):
-                bit = rng.randrange(32)
-                spec = FaultSpec(b_id, FaultKind.BIT_FLIP_DATA, at_cycle=cycle, bit=bit)
-                self._armed_flips.setdefault(b_id, []).append(spec)
-                self.pending_events.append(
-                    (b_id, {"fault": spec.kind.value, "window": "stochastic", "bit": bit})
-                )
-            upsets[b_id] = self._upset_after(cycle, rng)
-        self.next_upset = min(upsets, default=math.inf)
+    def _upset(self, cycle: int, block: ProcessingBlock) -> None:
+        """Arm a random data-bit upset, for its next data transaction, then
+        schedule the block's next upset.  A halted block's upset is dropped
+        and it draws no more; so is the upset of a block whose flip is still
+        armed, without a bit, so that at most one stochastic flip is pending
+        per block."""
+        b_id = block.block_id
+        if block.state is BlockState.HALTED:
+            return
+        if not self._armed_flips.get(b_id):
+            bit = self._noise[b_id].randrange(32)
+            spec = FaultSpec(b_id, FaultKind.BIT_FLIP_DATA, at_cycle=cycle, bit=bit)
+            self._activate(cycle, spec, block, via="stochastic")
+        self._schedule_upset(cycle, b_id)

@@ -356,7 +356,7 @@ def test_sync_delay_is_one_shot():
 def test_fetch_hook_sees_each_safe_index():
     seen = []
     side = accepted_block()
-    side.block.safe_fetch_hook = lambda blk, idx: seen.append(idx)
+    side.block.safe_fetch_hook = lambda blk, idx, cycle: seen.append(idx)
     side.run(5, answers={2: 1, 3: 0, 4: 0})  # index 2 is the end-of-stream probe
     assert seen == [0, 1, 2]
 
@@ -368,7 +368,7 @@ def test_fetch_hook_sees_each_safe_compute():
     side = EngineSide([Compute(1), Halt()], safe=[Compute(3), Compute(1), Write(0x10000, 7)]).run(1)
     side.latch()
     side.run(2)
-    side.block.safe_fetch_hook = lambda blk, idx: seen.append(idx)
+    side.block.safe_fetch_hook = lambda blk, idx, cycle: seen.append(idx)
     side.run(9, answers={2: 1, 7: 0})  # index 3 is the end-of-stream probe
     assert seen == [0, 1, 2, 3]
     assert list(side.ticks) == [1, 2, 3, 6, 7, 8]

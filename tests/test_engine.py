@@ -712,27 +712,27 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_step_runs_once_per_cycle_and_soak_noise_only_on_upset_cycles(monkeypatch, noise):
     """Most cycles of the sleeper run have no input.  Each still costs one
-    ``World.step`` call, but ``stochastic_flips`` runs only on the cycles an
+    ``World.step`` call, but ``on_cycle_start`` runs only on the cycles an
     upset falls due, and each upset drawn there is emitted in phase 1 of its
     own cycle, sleeping blocks or not."""
     scenario = dataclasses.replace(sleeper_scenario(), noise_flip_probability=noise)
     world = World(scenario)
     steps, draws, armed = [], [], []
-    step, flips = World.step, FaultEngine.stochastic_flips
+    step, cycle_start = World.step, FaultEngine.on_cycle_start
 
     def counted_step(self):
         steps.append(self.cycle + 1)
         step(self)
 
-    def counted_flips(self, cycle, blocks):
-        assert self.next_upset == cycle  # due now, and not called before
+    def counted_cycle_start(self, cycle, blocks):
+        assert self.next_cycle == cycle  # due now, and not called before
         draws.append(cycle)
-        queued = len(self.pending_events)
-        flips(self, cycle, blocks)
-        armed.extend((cycle, target, d["bit"]) for target, d in self.pending_events[queued:])
+        emitted = len(self.trace)
+        cycle_start(self, cycle, blocks)
+        armed.extend((cycle, e.entity, e.detail["bit"]) for e in self.trace[emitted:])
 
     monkeypatch.setattr(World, "step", counted_step)
-    monkeypatch.setattr(FaultEngine, "stochastic_flips", counted_flips)
+    monkeypatch.setattr(FaultEngine, "on_cycle_start", counted_cycle_start)
     world.run()
     cycles = list(range(1, world.cycle + 1))
     assert world.cycle > 52 and steps == cycles
