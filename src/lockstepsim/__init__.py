@@ -76,6 +76,17 @@ from .trace import (  # noqa: E402
     write_trace,
 )
 
+
+def __getattr__(name: str):
+    """Import ``sweep`` the first time ``lockstepsim.sweep`` is read: only the
+    ``sweep`` command needs it, so the others do not pay for its import."""
+    if name == "sweep":
+        import importlib
+
+        return importlib.import_module(".sweep", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "__version__",
     # bus

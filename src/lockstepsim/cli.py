@@ -22,7 +22,6 @@ from . import __version__
 from .bus import UnmappedAddress
 from .engine import Report, SimInternalError, run
 from .scenario import ScenarioError, load_scenario_file, scenario_digest
-from .sweep import load_sweep_file
 from .trace import IOFailure, emit_trace, write_trace
 
 EXIT_OK = 0
@@ -118,6 +117,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import load_sweep_file  # only this command needs the sweep module
+
     result = load_sweep_file(args.spec)
     shown = result.points if args.verbose else result.failures
     for point in shown:

@@ -32,13 +32,14 @@ fetch or on its outgoing transaction, before the tick's own events.  Answers
 produced in phases 4-5 of cycle t wake the issuing block for its tick in
 cycle t+1, so an unstalled bus operation costs one cycle.
 
-Every full step ends by setting ``World._due``: the first cycle on which any
+Every step ends by setting ``World._due``: the first cycle on which any
 phase can have input.  That is the earliest block wake, trigger,
 cycle-windowed fault or soak-noise upset, IRQ delivery or session budget, or
 the next cycle while a voted port holds a transaction.  A cycle before it has
-no input at all: ``step()`` advances the cycle and returns.  Within a full
-step, a phase with no input is skipped as well.  Either way ``step()``
-advances exactly one cycle.
+no input at all.  ``step()`` always runs the seven phases of one cycle; on a
+quiet cycle each finds no input and emits nothing, and ``_due`` keeps its
+value.  ``run()`` advances a quiet cycle itself, with no ``step()`` call.
+Within a step, a phase with no input is skipped.
 
 The world boots when it is built: Boot, then NormalProcessing (or SafeState
 on a failed boot check).  From then on phase 7 reads the system state off the
@@ -161,12 +162,11 @@ class World:
     # -- one cycle -------------------------------------------------------------
 
     def step(self) -> None:
+        """Run the seven phases of the next cycle."""
         if self.system_state is SystemState.SAFE_STATE:
             raise SimInternalError("step after safe state")
         self.cycle += 1
         c = self.cycle
-        if c < self._due:  # a quiet cycle: no phase has input
-            return
         faults = self.fault_engine
         monitor = self.monitor
 
@@ -297,14 +297,19 @@ class World:
         )
 
     def run(self, max_cycles: Optional[int] = None) -> None:
+        """Run to ``max_cycles``, the safe state or quiescence.  A cycle
+        before ``_due`` has no input, so it is advanced here with no step:
+        it would emit nothing and change nothing that ``quiescent()`` tests."""
         if max_cycles is None:
             max_cycles = self.scenario.max_cycles
         else:
             check_int(max_cycles, "max_cycles override", minimum=0)
         while self.system_state is not SystemState.SAFE_STATE and self.cycle < max_cycles:
-            quiet = self.cycle + 1 < self._due
+            if self.cycle + 1 < self._due:
+                self.cycle += 1
+                continue
             self.step()
-            if not quiet and self.quiescent():  # a quiet cycle changes nothing it tests
+            if self.quiescent():
                 self.end_reason = "all_halted"
                 break
         if self.system_state is SystemState.SAFE_STATE:

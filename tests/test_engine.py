@@ -710,17 +710,19 @@ def test_halted_and_silenced_blocks_are_not_ticked_again(monkeypatch):
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
-def test_step_runs_once_per_cycle_and_soak_noise_only_on_upset_cycles(monkeypatch, noise):
-    """Most cycles of the sleeper run have no input.  Each still costs one
-    ``World.step`` call, but ``on_cycle_start`` runs only on the cycles an
-    upset falls due, and each upset drawn there is emitted in phase 1 of its
-    own cycle, sleeping blocks or not."""
+def test_step_runs_on_due_cycles_and_soak_noise_only_on_upset_cycles(monkeypatch, noise):
+    """Most cycles of the sleeper run have no input.  ``run()`` calls
+    ``World.step`` on the due cycles only, so a cycle it does not step emits
+    nothing; ``on_cycle_start`` runs only on the cycles an upset falls due,
+    and each upset drawn there is emitted in phase 1 of its own cycle,
+    sleeping blocks or not."""
     scenario = dataclasses.replace(sleeper_scenario(), noise_flip_probability=noise)
     world = World(scenario)
     steps, draws, armed = [], [], []
     step, cycle_start = World.step, FaultEngine.on_cycle_start
 
     def counted_step(self):
+        assert self.cycle + 1 >= self._due  # only a due cycle is stepped
         steps.append(self.cycle + 1)
         step(self)
 
@@ -735,7 +737,10 @@ def test_step_runs_once_per_cycle_and_soak_noise_only_on_upset_cycles(monkeypatc
     monkeypatch.setattr(FaultEngine, "on_cycle_start", counted_cycle_start)
     world.run()
     cycles = list(range(1, world.cycle + 1))
-    assert world.cycle > 52 and steps == cycles
+    assert world.cycle > 52 and steps == sorted(set(steps)) and len(steps) < len(cycles)
+    *events, halt = world.trace
+    assert halt.kind == "halt"
+    assert {e.cycle for e in events} <= {0, *steps}  # boot events fall on cycle 0
     assert draws == sorted(set(draws))
     assert bool(noise) == (0 < len(draws) < len(cycles) / 2)
     upsets = [e for e in world.trace if e.detail.get("window") == "stochastic"]
