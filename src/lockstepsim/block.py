@@ -32,12 +32,13 @@ one transaction object, which the voter finds equal by identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .bus import LOCKSTEP_SYNC_ADDRESS, SAFECODE_START, BusTransaction, TxKind
+from .trace import Trace
 
 
 class TriggerSource(Enum):
@@ -112,22 +113,13 @@ class BlockState(Enum):
     HALTED = "halted"
 
 
-@dataclass
-class TickOutput:
-    """Everything a single tick produced, for the engine to route."""
-
-    tx: Optional[BusTransaction] = None  # its role is the state the tick ends in
-    trigger: Optional[TriggerSource] = None
-    state_changes: List[Tuple[BlockState, BlockState]] = field(default_factory=list)
-    sleep: int = 0  # cycles with nothing to do before the next tick
-
-
 class ProcessingBlock:
     def __init__(
         self,
         block_id: int,
         program: Sequence[Instruction],
         safe_program: Sequence[Instruction],
+        trace: Optional[Trace] = None,
     ):
         self.block_id = block_id
         self.program = program  # shared, read-only
@@ -150,6 +142,8 @@ class ProcessingBlock:
         # cycle it started in, None when it sleeps through none
         self.run_pc = 0
         self._run_start: Optional[int] = None
+        self.trace = Trace(False) if trace is None else trace
+        self._changes: List[Tuple[BlockState, BlockState]] = []  # emitted at a traced tick's end
 
     # -- external stimulus ------------------------------------------------
 
@@ -178,28 +172,22 @@ class ProcessingBlock:
 
     # -- helpers -----------------------------------------------------------
 
-    def _change(self, out: TickOutput, new: BlockState):
-        out.state_changes.append((self.state, new))
+    def _change(self, new: BlockState):
+        if self.trace.traced:
+            self._changes.append((self.state, new))
         self.state = new
 
-    def _enter_sync(self, out: TickOutput):
+    def _enter_sync(self) -> BusTransaction:
         self.saved_pc = self.pc
-        self._change(out, BlockState.AWAITING_SYNC)
-        out.tx = SYNC_READ
+        self._change(BlockState.AWAITING_SYNC)
+        return SYNC_READ
 
-    def _enter_exit(self, out: TickOutput):
-        self._change(out, BlockState.AWAITING_EXIT)
-        out.tx = SYNC_READ
-
-    def _resume(self, out: TickOutput):
-        self._change(out, BlockState.NORMAL_PROCESSING)
+    def _resume(self):
+        self._change(BlockState.NORMAL_PROCESSING)
         self.pc, self.saved_pc = self.saved_pc, None
 
-    def _safe_index(self) -> int:
-        return self.pc - SAFECODE_START
-
     def _fetch_safe(self, cycle: int) -> Optional[Instruction]:
-        idx = self._safe_index()
+        idx = self.pc - SAFECODE_START
         if self.safe_fetch_hook is not None:
             self.safe_fetch_hook(self, idx, cycle)
         if self.safe_override is not None:
@@ -224,72 +212,83 @@ class ProcessingBlock:
 
     # -- the tick ----------------------------------------------------------
 
-    def tick(self, cycle: int) -> TickOutput:
+    def tick(self, cycle: int) -> Union[BusTransaction, TriggerSource, None]:
         """Act in ``cycle``, the block's wake: on the answer to its
-        transaction when one came, else at the end of a sleep.  Sets the next
-        wake: the end of the sleep the tick starts, or never while the block
-        waits for an answer or once it halts."""
-        out = TickOutput()
+        transaction when one came, else at the end of a sleep.  Returns the
+        transaction the tick issues or the trigger source it raises, if any,
+        and sets the next wake: the end of the sleep the tick starts, or never
+        while the block waits for an answer or once it halts.  The tick emits
+        its events at its end, after its fetch hook's: each state change, a
+        halt right after the change into it, then the trigger."""
         response, self._answer = self._answer, None
         self._run_start = None
+        self.wake = cycle + 1  # unless the tick sleeps, issues or halts
+        out = None
         if response is not None:
             if self.state is BlockState.AWAITING_SYNC and response & 0xFF:
-                self._change(out, BlockState.SAFE_PROCESSING)
+                self._change(BlockState.SAFE_PROCESSING)
                 self.pc = SAFECODE_START
             elif self.state is BlockState.AWAITING_SYNC:
-                self._change(out, BlockState.REJECTED)
-                self._resume(out)
+                self._change(BlockState.REJECTED)
+                self._resume()
             elif self.state is BlockState.AWAITING_EXIT:
-                self._resume(out)  # release value is ignored beyond arrival itself
+                self._resume()  # release value is ignored beyond arrival itself
             else:  # a bus operation completed
                 self.pc += 1
             # fall through: execute this tick from the new pc
 
         if self._sync_on_wake and response is None:
             self._sync_on_wake = False
-            self._enter_sync(out)
+            out = self._enter_sync()
         elif self.pending_irq and self.state is BlockState.NORMAL_PROCESSING:
             # an instruction boundary takes the latch
             self.pending_irq = False
             if self.sync_delay > 0:
-                out.sleep = self.sync_delay - 1
+                self.wake = cycle + self.sync_delay
                 self.sync_delay = 0
                 self._sync_on_wake = True
             else:
-                self._enter_sync(out)
+                out = self._enter_sync()
         else:
-            self._execute(out, cycle)
-        if out.tx is None and self.state is not BlockState.HALTED:
-            self.wake = cycle + out.sleep + 1
-        else:
-            self.wake = math.inf
+            out = self._execute(cycle)
+        for old, new in self._changes:
+            detail = {"from": old.value, "to": new.value}
+            self.trace.emit(cycle, 3, self.block_id, "state_change", detail)
+            if new is BlockState.HALTED:
+                self.trace.emit(cycle, 3, self.block_id, "halt", {})
+        self._changes.clear()
+        if isinstance(out, TriggerSource):
+            self.trace.emit(cycle, 3, self.block_id, "trigger", {"source": out.value})
+        elif out is not None or self.state is BlockState.HALTED:
+            self.wake = math.inf  # until its answer comes, or for good
         return out
 
-    def _execute(self, out: TickOutput, cycle: int) -> None:
+    def _execute(self, cycle: int) -> Union[BusTransaction, TriggerSource, None]:
         safe = self.state is BlockState.SAFE_PROCESSING
         if safe:
             instr = self._fetch_safe(cycle)
             if instr is None:
-                self._enter_exit(out)
-                return
+                self._change(BlockState.AWAITING_EXIT)
+                return SYNC_READ
         else:
             if self.pc >= len(self.program):
-                self._change(out, BlockState.HALTED)
-                return
+                self._change(BlockState.HALTED)
+                return None
             instr = self.program[self.pc]
 
         if isinstance(instr, Compute):
             if safe:
                 self.pc += 1
-                out.sleep = instr.duration - 1
+                self.wake = cycle + instr.duration
             else:
-                out.sleep = self._sleep_run(cycle) - 1
+                self.wake = cycle + self._sleep_run(cycle)
         elif isinstance(instr, (Read, Write)):
-            out.tx = instr.tx
+            return instr.tx
         elif isinstance(instr, TriggerSP):
-            out.trigger = instr.source
             self.pc += 1
+            return instr.source
         elif isinstance(instr, Halt):
-            self._change(out, BlockState.HALTED)
+            self._change(BlockState.HALTED)
         else:  # pragma: no cover - closed instruction set
             raise TypeError(f"unknown instruction {instr!r}")
+        return None

@@ -25,12 +25,12 @@ executes seven phases in a fixed order:
 6. the monitor's availability observer
 7. system-level state transitions
 
-The monitor emits its own events and returns the ``(block, response)``
-answers of each step; the world owns the blocks and answers them.  The fault
-engine emits its own events too: in phase 1, and in phase 3 at a block's safe
-fetch or on its outgoing transaction, before the tick's own events.  Answers
-produced in phases 4-5 of cycle t wake the issuing block for its tick in
-cycle t+1, so an unstalled bus operation costs one cycle.
+Every part writes its own events to the run's one ``Trace``: the fault engine
+in phase 1, and in phase 3 at a block's safe fetch or on its outgoing
+transaction; a block at the end of its tick, after its fetch hook's.  The
+monitor returns each step's ``(block, response)`` answers, which the world
+gives its blocks.  Answers produced in phases 4-5 of cycle t wake the issuing
+block for its tick in cycle t+1, so an unstalled bus operation costs one cycle.
 
 Every step ends by setting ``World._due``: the first cycle on which any
 phase can have input.  That is the earliest block wake, trigger,
@@ -72,7 +72,7 @@ from .bus import BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
 from .scenario import Scenario, check_int, check_seed, scenario_digest
-from .trace import ALLOWED_SYSTEM_ARCS, TraceEvent
+from .trace import ALLOWED_SYSTEM_ARCS, Trace, TraceEvent
 
 
 class SimInternalError(Exception):
@@ -105,24 +105,22 @@ class World:
         self.cycle = 0
         self.system_state = SystemState.BOOT
         self.memory = MemoryMap()
-        self.trace_enabled = trace_enabled
-        self.trace: List[TraceEvent] = []
-        # the seed's own stream drives random selection only; soak noise has
-        # its own.  The monitor and the fault engine get the event list, not
-        # the world: a finished world is then freed by reference counting alone.
-        events = self.trace if trace_enabled else None
+        # the parts get the run's one sink, not the world: a finished world is
+        # then freed by reference counting alone.  The seed's own stream drives
+        # random selection only; soak noise has its own.
+        trace = self.trace = Trace(trace_enabled)
         self.monitor = LockstepMonitor(
             scenario.moon,
             random.Random(self.effective_seed) if scenario.flags.random_selection else None,
-            events,
+            trace,
         )
         self.blocks = [
-            ProcessingBlock(i, scenario.programs[i], scenario.safe_program)
+            ProcessingBlock(i, scenario.programs[i], scenario.safe_program, trace)
             for i in range(scenario.n_blocks)
         ]
         self.fault_engine = FaultEngine(
             scenario.faults, scenario.noise_flip_probability, self.effective_seed, scenario.n_blocks,
-            events,
+            trace,
         )
         for b in self.blocks:
             b.safe_fetch_hook = self.fault_engine.on_safe_fetch
@@ -135,7 +133,7 @@ class World:
         # and the first step is one
         self._due = 1
         moon = scenario.moon
-        self.emit(1, "system", "boot", {
+        trace.emit(0, 1, "system", "boot", {
             "result": scenario.boot_check,
             "n_required": moon.n_required,
             "m_agree": moon.m_agree,
@@ -144,12 +142,6 @@ class World:
         failed = scenario.boot_check == "fail"
         self._set_system_state(SystemState.SAFE_STATE if failed else SystemState.NORMAL_PROCESSING)
 
-    # -- trace -------------------------------------------------------------
-
-    def emit(self, phase: int, entity, kind: str, detail: Dict) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceEvent(self.cycle, phase, entity, kind, detail))
-
     def _set_system_state(self, new: SystemState) -> None:
         old = self.system_state
         if (old.value, new.value) not in ALLOWED_SYSTEM_ARCS:
@@ -157,7 +149,8 @@ class World:
                 f"illegal system transition {old.value} -> {new.value} (cycle {self.cycle})"
             )
         self.system_state = new
-        self.emit(7, "system", "state_change", {"from": old.value, "to": new.value})
+        detail = {"from": old.value, "to": new.value}
+        self.trace.emit(self.cycle, 7, "system", "state_change", detail)
 
     # -- one cycle -------------------------------------------------------------
 
@@ -169,6 +162,7 @@ class World:
         c = self.cycle
         faults = self.fault_engine
         monitor = self.monitor
+        trace = self.trace
 
         # phase 1: the cycle-windowed faults and soak-noise upsets due
         if faults.next_cycle <= c:
@@ -179,12 +173,10 @@ class World:
         triggers = self.triggers
         while triggers and triggers[-1].cycle <= c:
             source = triggers.pop().source
-            self.emit(2, "system", "trigger", {"source": source.value})
+            trace.emit(c, 2, "system", "trigger", {"source": source.value})
             requests.append(("external", source))
 
-        # phase 3: ticks of the blocks that have input; an event's detail is
-        # built only when events are recorded
-        tracing = self.trace_enabled
+        # phase 3: ticks of the blocks that have input, which emit their own events
         sync_arrivals: List[int] = []
         exit_arrivals: List[int] = []
         system_queue: List[Tuple[int, BusTransaction]] = []
@@ -193,30 +185,26 @@ class World:
             if b.wake > c:
                 continue  # asleep, or waiting for an answer
             out = b.tick(c)
-            if tracing:
-                for old, new in out.state_changes:
-                    self.emit(3, b.block_id, "state_change", {"from": old.value, "to": new.value})
-                    if new is BlockState.HALTED:
-                        self.emit(3, b.block_id, "halt", {})
-            if out.trigger is not None:
-                self.emit(3, b.block_id, "trigger", {"source": out.trigger.value})
-                requests.append((b.block_id, out.trigger))
-            if out.tx is None:
+            if out is None:
                 continue
-            tx = faults.filter_tx(c, b.block_id, out.tx)
+            if isinstance(out, TriggerSource):
+                requests.append((b.block_id, out))
+                continue
+            tx = faults.filter_tx(c, b.block_id, out)
             if tx is None:
                 continue  # suppressed on the wire; the block stays stalled
             if b.state is BlockState.AWAITING_SYNC:
-                if tracing:
-                    self.emit(3, b.block_id, "sync_read", {"address": f"0x{tx.address:08X}"})
+                if trace.traced:
+                    trace.emit(c, 3, b.block_id, "sync_read", {"address": f"0x{tx.address:08X}"})
                 sync_arrivals.append(b.block_id)
             elif b.state is BlockState.NORMAL_PROCESSING:
                 system_queue.append((b.block_id, tx))
             else:  # voted-bus port: data or the exit read, held until served or released
                 held[b.block_id] = tx
                 if b.state is BlockState.AWAITING_EXIT:
-                    if tracing:
-                        self.emit(3, b.block_id, "exit_read", {"address": f"0x{tx.address:08X}"})
+                    if trace.traced:
+                        detail = {"address": f"0x{tx.address:08X}"}
+                        trace.emit(c, 3, b.block_id, "exit_read", detail)
                     exit_arrivals.append(b.block_id)
 
         # phase 4: rendezvous work; its answers and phase 5's are given at
@@ -314,7 +302,7 @@ class World:
                 break
         if self.system_state is SystemState.SAFE_STATE:
             self.end_reason = "safe_state"
-        self.emit(7, "system", "halt", {"reason": self.end_reason})
+        self.trace.emit(self.cycle, 7, "system", "halt", {"reason": self.end_reason})
 
 
 @dataclass

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .block import BlockState, Instruction, ProcessingBlock
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction
-from .trace import TraceEvent
+from .trace import Trace
 
 
 class FaultKind(Enum):
@@ -77,15 +77,15 @@ class FaultEngine:
     it then, so every fault fires once.  Soak noise, when ``flip_probability``
     is above zero, upsets blocks ``0 .. n_blocks - 1`` on the cycles drawn
     from their streams, which ``seed`` names; each block's next upset sits on
-    the schedule of the cycle-windowed faults.  ``trace`` is the list the
-    ``fault_applied`` events go to, None when the run is untraced; every hook
-    takes the cycle it runs in."""
+    the schedule of the cycle-windowed faults.  ``trace`` is the run's sink,
+    which the ``fault_applied`` events go to (an untraced one when not given);
+    every hook takes the cycle it runs in."""
 
     def __init__(
         self, specs: List[FaultSpec], flip_probability: float = 0.0, seed: int = 0,
-        n_blocks: int = 0, trace=None,
+        n_blocks: int = 0, trace: Optional[Trace] = None,
     ):
-        self.trace = trace
+        self.trace = Trace(False) if trace is None else trace
         # the cycle schedule, ascending: (at_cycle, target, declaration index,
         # spec) per cycle-windowed fault and (cycle, target, inf, None) per
         # block's next upset, which comes after the block's declared faults
@@ -109,10 +109,6 @@ class FaultEngine:
         self.suppressed: set = set()
         self._armed_flips: Dict[int, List[FaultSpec]] = {}
         self._pending_divergent: Dict[int, FaultSpec] = {}
-
-    def _emit(self, cycle: int, phase: int, target: int, detail: dict) -> None:
-        if self.trace is not None:
-            self.trace.append(TraceEvent(cycle, phase, target, "fault_applied", detail))
 
     # -- activation ----------------------------------------------------------
 
@@ -140,7 +136,8 @@ class FaultEngine:
         else:  # bit flips: arm for the next data transaction
             self._armed_flips.setdefault(block.block_id, []).append(spec)
             detail["bit"] = spec.bit
-        self._emit(cycle, 1 if safe_idx is None else 3, block.block_id, detail)
+        phase = 1 if safe_idx is None else 3
+        self.trace.emit(cycle, phase, block.block_id, "fault_applied", detail)
 
     @property
     def next_cycle(self) -> float:
@@ -169,7 +166,7 @@ class FaultEngine:
         if pending is not None:
             block.safe_override = (safe_idx, pending.program or ())
             detail = {"fault": pending.kind.value, "window": "cycle", "applied_at": safe_idx}
-            self._emit(cycle, 3, block.block_id, detail)
+            self.trace.emit(cycle, 3, block.block_id, "fault_applied", detail)
         for spec in self._by_fetch.pop((block.block_id, safe_idx), ()):
             self._activate(cycle, spec, block, "safe_instr", safe_idx)
 
@@ -189,8 +186,8 @@ class FaultEngine:
                 flipped = BusTransaction(tx.kind, tx.address, tx.data ^ (1 << spec.bit))
             else:
                 flipped = BusTransaction(tx.kind, tx.address ^ (1 << spec.bit), tx.data)
-            if self.trace is not None:
-                self._emit(cycle, 3, block_id, {
+            if self.trace.traced:
+                self.trace.emit(cycle, 3, block_id, "fault_applied", {
                     "fault": spec.kind.value, "bit": spec.bit,
                     "before": tx.short(), "after": flipped.short(),
                 })

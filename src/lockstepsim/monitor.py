@@ -41,7 +41,7 @@ from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
-from .trace import TraceEvent
+from .trace import Trace
 
 Answers = List[Tuple[int, int]]  # (block id, response) pairs
 
@@ -163,9 +163,9 @@ class SessionRecord:
 class LockstepMonitor:
     """Session state machine shared by the controller, synchronizer, voter
     and observer roles.  ``rng``, when given, breaks admission ties at
-    random instead of by block id.  ``trace`` is the list the monitor's
-    events go to, None when the run is untraced; the caller passes the cycle
-    into every step."""
+    random instead of by block id.  ``trace`` is the run's sink, which the
+    monitor's events go to (an untraced one when not given); the caller
+    passes the cycle into every step."""
 
     ACCEPT = 0x01
     REJECT = 0x00
@@ -173,7 +173,7 @@ class LockstepMonitor:
     def __init__(self, config: MoonConfig, rng: Optional[random.Random] = None, trace=None):
         self.config = config
         self.rng = rng
-        self.trace = trace
+        self.trace = Trace(False) if trace is None else trace
         self.sync_state = SyncState.IDLE
         self.sessions: List[SessionRecord] = []
         self.arrived: List[int] = []  # gathered block ids of earlier cycles
@@ -186,12 +186,9 @@ class LockstepMonitor:
         self.frozen = False
         self._bus_fault: Optional[str] = None  # reason for the observer
 
-    def _emit(self, cycle: int, phase: int, kind: str, detail: Dict) -> None:
-        if self.trace is not None:
-            self.trace.append(TraceEvent(cycle, phase, "monitor", kind, detail))
-
     def _set_state(self, cycle: int, new: SyncState) -> None:
-        self._emit(cycle, 4, "state_change", {"from": self.sync_state.value, "to": new.value})
+        detail = {"from": self.sync_state.value, "to": new.value}
+        self.trace.emit(cycle, 4, "monitor", "state_change", detail)
         self.sync_state = new
 
     # -- controller --------------------------------------------------------
@@ -200,12 +197,12 @@ class LockstepMonitor:
         """Start a session if idle and assert the group IRQ; returns whether
         it did.  While a session runs the request from ``origin`` (a block id
         or "external") is ignored."""
+        detail = {"origin": origin, "source": source.value}
         if self.sync_state is not SyncState.IDLE:
-            detail = {"origin": origin, "source": source.value, "ignored": "session_active"}
-            self._emit(cycle, 4, "trigger", detail)
+            self.trace.emit(cycle, 4, "monitor", "trigger", dict(detail, ignored="session_active"))
             return False
         self._set_state(cycle, SyncState.GATHERING)
-        self._emit(cycle, 4, "irq_assert", {"origin": origin, "source": source.value})
+        self.trace.emit(cycle, 4, "monitor", "irq_assert", detail)
         self.sessions.append(SessionRecord(gather_cycle=cycle))
         return True
 
@@ -214,7 +211,8 @@ class LockstepMonitor:
     def _reject(self, cycle: int, readers: List[int], context: str) -> Answers:
         self.rejected += len(readers)
         for b in readers:
-            self._emit(cycle, 4, "reject", {"block": b, "response": self.REJECT, "context": context})
+            detail = {"block": b, "response": self.REJECT, "context": context}
+            self.trace.emit(cycle, 4, "monitor", "reject", detail)
         return [(b, self.REJECT) for b in readers]
 
     def finalize_rendezvous(self, readers: List[int], cycle: int) -> Answers:
@@ -244,10 +242,10 @@ class LockstepMonitor:
         record.rejected = [b for b in cohort if b not in chosen]
         self.arrived = []
         for b in record.accepted:
-            self._emit(cycle, 4, "accept", {"block": b, "response": self.ACCEPT})
+            self.trace.emit(cycle, 4, "monitor", "accept", {"block": b, "response": self.ACCEPT})
         answers = [(b, self.ACCEPT) for b in record.accepted]
         answers += self._reject(cycle, record.rejected, "surplus")
-        self._emit(cycle, 4, "irq_deassert", {})
+        self.trace.emit(cycle, 4, "monitor", "irq_deassert", {})
         self._set_state(cycle, SyncState.LOCKSTEP)
         return answers
 
@@ -270,7 +268,8 @@ class LockstepMonitor:
         record.outcome = "completed"
         self.exited = set()
         self.held.clear()
-        self._emit(cycle, 4, "release", {"blocks": list(record.accepted), "response": self.ACCEPT})
+        detail = {"blocks": list(record.accepted), "response": self.ACCEPT}
+        self.trace.emit(cycle, 4, "monitor", "release", detail)
         self._set_state(cycle, SyncState.IDLE)
         return [(b, self.ACCEPT) for b in record.accepted]
 
@@ -284,12 +283,12 @@ class LockstepMonitor:
         held = self.held
         members = self.sessions[-1].accepted
         result = run_vote([held.get(b) for b in members], self.config.m_agree, members)
-        tracing = self.trace is not None  # an event's detail is built only when recorded
+        tracing = self.trace.traced  # an event's detail is built only when recorded
         if tracing:
             matrix = ["".join("1" if x else "0" for x in row) for row in result.matrix]
-            self._emit(cycle, 5, "vote", {"ports": result.ports, "matrix": matrix})
+            self.trace.emit(cycle, 5, "monitor", "vote", {"ports": result.ports, "matrix": matrix})
         if result.no_majority:
-            self._emit(cycle, 5, "no_majority", {"ports": result.ports})
+            self.trace.emit(cycle, 5, "monitor", "no_majority", {"ports": result.ports})
             self._bus_fault = "no_majority"
             return []
         if result.disagreement:
@@ -300,24 +299,24 @@ class LockstepMonitor:
         answers: Answers = []
         if fwd.address == LOCKSTEP_SYNC_ADDRESS:
             # exit reads win votes but stall at the monitor; release answers them
-            outcome = "stalled", 1
+            outcome = {"stalled": 1}
         else:
             try:
                 response = bus.issue(fwd, voted=True)
             except UnmappedAddress:
                 # the majority agreed on an address the voted bus cannot serve
                 self._bus_fault = "unmapped_address"
-                outcome = "unmapped", 1
+                outcome = {"unmapped": 1}
             else:
-                outcome = "response", response
+                outcome = {"response": response}
                 # shared-bus acknowledge: every live pending data transaction completes
                 exited = self.exited
                 answers = [(b, response) for b in members if b in held and b not in exited]
                 for b, _ in answers:
                     del held[b]
         if tracing:
-            key, value = outcome
-            self._emit(cycle, 5, "forward", {"block": result.selected_block, "tx": fwd.short(), key: value})
+            detail = {"block": result.selected_block, "tx": fwd.short(), **outcome}
+            self.trace.emit(cycle, 5, "monitor", "forward", detail)
         return answers
 
     # -- observer -------------------------------------------------------------
@@ -349,5 +348,5 @@ class LockstepMonitor:
         self.frozen = True
         self.sessions[-1].outcome = reason
         detail = {"reason": reason} if budget is None else {"reason": reason, "budget": budget}
-        self._emit(cycle, 6, "availability_error", detail)
+        self.trace.emit(cycle, 6, "monitor", "availability_error", detail)
         return reason, budget

@@ -1,12 +1,13 @@
 """Trace events and their byte-deterministic serializations.
 
 Every observable step of a run is one event: (cycle, phase, entity, kind,
-detail).  Phases follow the fixed intra-cycle order (1 faults, 2 external
-triggers, 3 block ticks, 4 rendezvous, 5 vote/commit, 6 observer, 7 system
-transitions).  Entities are a block id, "monitor" or "system"; within one
-(cycle, phase) blocks order by id and precede the monitor, which precedes the
-system.  Serializations carry no timestamps and use a fixed key order, so a
-given scenario+seed always produces the identical byte stream.
+detail), emitted into the run's one ``Trace``.  Phases follow the fixed
+intra-cycle order (1 faults, 2 external triggers, 3 block ticks, 4
+rendezvous, 5 vote/commit, 6 observer, 7 system transitions).  Entities are
+a block id, "monitor" or "system"; within one (cycle, phase) blocks order by
+id and precede the monitor, which precedes the system.  Serializations carry
+no timestamps and use a fixed key order, so a given scenario+seed always
+produces the identical byte stream.
 """
 
 from __future__ import annotations
@@ -68,6 +69,22 @@ class TraceEvent:
             "kind": self.kind,
             "detail": self.detail,
         }
+
+
+class Trace(list):
+    """The one sink of a run's events: the world, its blocks, its monitor and
+    its fault engine all emit into it.  An untraced sink records nothing and
+    stays empty; a caller that builds a costly detail tests ``traced`` first."""
+
+    __slots__ = ("traced",)
+
+    def __init__(self, traced: bool = True):
+        super().__init__()
+        self.traced = traced
+
+    def emit(self, cycle: int, phase: int, entity: Entity, kind: str, detail: Dict) -> None:
+        if self.traced:
+            self.append(TraceEvent(cycle, phase, entity, kind, detail))
 
 
 def entity_order(entity: Entity) -> int:

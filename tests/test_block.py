@@ -1,7 +1,9 @@
 """Processing block timing and state machine, driven cycle by cycle.
 
 The harness below plays the engine's side: it ticks the block when the
-block's own wake comes, and decides when each answer comes.  An answer given
+block's own wake comes, and decides when each answer comes.  The block gives
+its sink its own events, and the harness rebuilds each tick's record from what
+the tick returned, the wake it set and the state changes it emitted.  An answer given
 in cycle t is consumed at the block's tick in t+1, with the fall-through into
 the next instruction, so an unstalled bus operation costs one cycle.  Its IRQ
 delivery is the engine's phase 4: a latch that takes during a run of computes
@@ -10,6 +12,7 @@ wakes the block at the run's first boundary after the latch cycle."""
 from __future__ import annotations
 
 import math
+from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
 
@@ -19,24 +22,60 @@ from lockstepsim import (
     BlockState,
     BusTransaction,
     Compute,
+    FaultEngine,
+    FaultKind,
+    FaultSpec,
     Halt,
     ProcessingBlock,
     Read,
+    TriggerSource,
+    TriggerSP,
     TxKind,
     Write,
 )
 from lockstepsim.block import SYNC_READ
+from lockstepsim.trace import Trace
 
 SAFE = [Write(0x10000, 7), Read(0x10000)]
+
+
+class Tick(NamedTuple):
+    """What one tick produced."""
+
+    tx: Optional[BusTransaction]
+    trigger: Optional[TriggerSource]
+    sleep: int  # cycles with nothing to do before the next tick
+    state_changes: List[Tuple[BlockState, BlockState]]
+
+
+def tick(block, cycle):
+    """Tick ``block`` in ``cycle`` and rebuild what the tick produced: the
+    transaction or trigger source it returned, the sleep its new wake sets (0
+    when it waits for an answer or has halted) and its ``state_change``
+    events in the block's sink."""
+    start = len(block.trace)
+    out = block.tick(cycle)
+    changes = [
+        (BlockState(e.detail["from"]), BlockState(e.detail["to"]))
+        for e in block.trace[start:]
+        if e.kind == "state_change"
+    ]
+    sleep = 0 if block.wake == math.inf else block.wake - cycle - 1
+    return Tick(
+        out if isinstance(out, BusTransaction) else None,
+        out if isinstance(out, TriggerSource) else None,
+        sleep,
+        changes,
+    )
 
 
 class EngineSide:
     """Ticks one block as ``World.step`` does and keeps what each tick produced."""
 
     def __init__(self, program, safe=SAFE):
-        self.block = ProcessingBlock(0, program, safe)
+        self.block = ProcessingBlock(0, program, safe, Trace())
         self.cycle = 0
-        self.ticks = {}  # cycle -> TickOutput
+        self.ticks = {}  # cycle -> Tick
 
     def run(self, until, answers=None):
         """Advance through cycle ``until``.  ``answers`` maps a cycle to the
@@ -51,7 +90,7 @@ class EngineSide:
                 break
             self.cycle = c = c + 1
             if self.block.wake <= c:  # phase 3
-                self.ticks[c] = self.block.tick(c)
+                self.ticks[c] = tick(self.block, c)
         return self
 
     def latch(self):
@@ -87,11 +126,11 @@ def test_back_to_back_computes():
 
 @pytest.mark.parametrize("duration", [1, 2, 7])
 def test_a_compute_advances_the_pc_at_once_and_sleeps_the_rest(duration):
-    block = ProcessingBlock(0, [Compute(duration), Write(0x100, 1), Halt()], SAFE)
-    out = block.tick(1)
+    block = ProcessingBlock(0, [Compute(duration), Write(0x100, 1), Halt()], SAFE, Trace())
+    out = tick(block, 1)
     assert (out.tx, out.sleep, block.pc) == (None, duration - 1, 1)
     assert block.wake == 1 + duration
-    assert block.tick(1 + duration).tx == BusTransaction(TxKind.WRITE, 0x100, 1)
+    assert tick(block, 1 + duration).tx == BusTransaction(TxKind.WRITE, 0x100, 1)
 
 
 def test_bus_op_issue_then_one_cycle_stall():
@@ -417,3 +456,57 @@ def test_determinism_two_identical_blocks():
         ]
 
     assert walk() == walk()
+
+
+# -- the order of a tick's own events ----------------------------------------------------
+
+
+def tick_events(side, cycle):
+    """(kind, detail) of the events the block's sink holds for ``cycle``."""
+    return [(e.kind, e.detail) for e in side.block.trace if e.cycle == cycle]
+
+
+def test_an_admitted_tick_emits_its_fetch_hook_event_before_its_state_change():
+    """The hook fires at the first safe fetch, inside the tick that enters
+    the group; the tick's own state change follows it."""
+    side = accepted_block()
+    engine = FaultEngine(
+        [FaultSpec(target=0, kind=FaultKind.NO_SHOW, at_safe_instr=0)], trace=side.block.trace
+    )
+    side.block.safe_fetch_hook = engine.on_safe_fetch
+    side.run(3, answers={2: 1})
+    assert tick_events(side, 3) == [
+        ("fault_applied", {"fault": "no_show", "window": "safe_instr"}),
+        ("state_change", {"from": "awaiting_sync", "to": "safe_processing"}),
+    ]
+    assert all(e.phase == 3 and e.entity == 0 for e in side.block.trace)
+
+
+def test_a_rejected_tick_that_raises_a_trigger_emits_the_trigger_last():
+    side = EngineSide([Compute(1), TriggerSP(TriggerSource.APP_TRIGGERED), Halt()]).run(1)
+    side.latch()
+    side.run(3, answers={2: 0})  # read at 2, rejected; the trigger executes at 3
+    assert side.ticks[3].trigger is TriggerSource.APP_TRIGGERED
+    assert tick_events(side, 3) == [
+        ("state_change", {"from": "awaiting_sync", "to": "rejected"}),
+        ("state_change", {"from": "rejected", "to": "normal_processing"}),
+        ("trigger", {"source": "app_triggered"}),
+    ]
+
+
+@pytest.mark.parametrize("rejected", [False, True], ids=["program_end", "after_rejection"])
+def test_a_halt_event_directly_follows_its_state_change(rejected):
+    side = EngineSide([Compute(1), Halt()]).run(1)
+    if rejected:
+        side.latch()
+        side.run(3, answers={2: 0})  # read at 2, rejected; the halt executes at 3
+    else:
+        side.run(3)
+    resumed = [
+        ("state_change", {"from": "awaiting_sync", "to": "rejected"}),
+        ("state_change", {"from": "rejected", "to": "normal_processing"}),
+    ]
+    assert tick_events(side, 2 + rejected) == resumed * rejected + [
+        ("state_change", {"from": "normal_processing", "to": "halted"}),
+        ("halt", {}),
+    ]

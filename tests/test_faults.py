@@ -24,6 +24,7 @@ from lockstepsim import (
     Write,
     run,
 )
+from lockstepsim.trace import Trace
 
 SAFE = [Write(0x10000, 7), Read(0x10000)]
 
@@ -39,8 +40,8 @@ def data_tx(data=7, address=0x10000):
 
 
 def traced_engine(specs, *args, **kwargs):
-    """A fault engine whose events go to a list of its own."""
-    return FaultEngine(specs, *args, trace=[], **kwargs)
+    """A fault engine whose events go to a sink of its own."""
+    return FaultEngine(specs, *args, trace=Trace(), **kwargs)
 
 
 def drain(eng):
@@ -466,7 +467,7 @@ def test_events_carry_the_cycle_and_phase_of_their_hook():
     untraced = FaultEngine(specs)
     untraced.on_cycle_start(2, blocks)
     assert untraced.filter_tx(7, 0, data_tx(6)).data == 7
-    assert untraced.trace is None
+    assert untraced.trace == []
 
 
 # -- whole-world integration ---------------------------------------------------------------

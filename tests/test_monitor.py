@@ -23,6 +23,7 @@ from lockstepsim import (
     TxKind,
     run_vote,
 )
+from lockstepsim.trace import Trace
 
 ACCEPT, REJECT = LockstepMonitor.ACCEPT, LockstepMonitor.REJECT
 SOURCE = TriggerSource.EXTERNAL_IN_SCOPE
@@ -33,7 +34,7 @@ def cfg(n, m, t_gather=10, t_exec=10):
 
 
 def monitor(n=3, m=2, rng=None, **kw):
-    return LockstepMonitor(cfg(n, m, **kw), rng=rng, trace=[])
+    return LockstepMonitor(cfg(n, m, **kw), rng=rng, trace=Trace())
 
 
 def wtx(data, address=0x10000):

@@ -22,6 +22,7 @@ from lockstepsim.sweep import build_rendezvous_scenario
 from lockstepsim.trace import (
     ALLOWED_SYSTEM_ARCS,
     EVENT_KINDS,
+    Trace,
     audit_system_path,
     entity_order,
     system_state_path,
@@ -32,6 +33,30 @@ SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "sc
 
 def fig5_report():
     return run(load_scenario_file(str(SCENARIO_DIR / "fig5.scn")))
+
+
+# -- the sink ----------------------------------------------------------------------
+
+
+def test_an_untraced_sink_records_nothing():
+    trace = Trace(False)
+    trace.emit(3, 4, "monitor", "irq_deassert", {})
+    assert trace == [] and not trace.traced
+
+
+def test_a_traced_sink_appends_one_event_with_the_given_fields():
+    trace = Trace()
+    detail = {"source": "app_timed"}
+    trace.emit(5, 3, 2, "trigger", detail)
+    assert trace == [TraceEvent(5, 3, 2, "trigger", detail)]
+    assert trace[0].detail is detail
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.stem)
+def test_an_untraced_run_reports_an_empty_trace(path):
+    scenario = load_scenario_file(str(path))
+    assert run(scenario, trace_enabled=False).trace == []
+    assert run(scenario).trace != []
 
 
 # -- event ordering ----------------------------------------------------------------
