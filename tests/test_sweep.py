@@ -22,6 +22,7 @@ from lockstepsim.scenario import (
 )
 from lockstepsim.sweep import (
     DEFAULT_SAFE_PROGRAM,
+    DIVERGENT_STREAM,
     SweepPoint,
     SweepResult,
     arrival_sweep,
@@ -203,39 +204,49 @@ def test_masking_scenario_reference_is_reusable():
 
 @pytest.fixture
 def instruction_checks(monkeypatch):
-    """Per-instruction checks made while the test runs, by role."""
+    """Per-instruction checks made while the test runs, by role; ``checked``
+    lists the checked instruction objects in order."""
     counts = {"normal": 0, "safe": 0}
+    checked = []
     for role in counts:
         name = f"_check_{role}_instruction"
         inner = getattr(lockstepsim.scenario, name)
 
         def counting(instr, inner=inner, role=role):
             counts[role] += 1
+            checked.append(instr)
             return inner(instr)
 
         monkeypatch.setattr(lockstepsim.scenario, name, counting)
-    return counts
+    return counts, checked
 
 
-def test_an_instruction_object_is_checked_once_per_role(instruction_checks):
-    idle = (Compute(1),) * 15 + (Halt(),)  # two objects, fresh to this test
+def test_a_program_object_is_checked_once_per_role(instruction_checks):
+    counts, _ = instruction_checks
+    idle = (Compute(1),) * 15 + (Halt(),)  # a tuple fresh to this test
     safe = tuple(replace(instr) for instr in DEFAULT_SAFE_PROGRAM)  # equal values, new objects
     base = build_masking_scenario(4, 3, 2, faults=())
-    instruction_checks.update(normal=0, safe=0)  # whatever building the base checked
+    counts.update(normal=0, safe=0)  # whatever building the base checked
     replace(base, programs=(idle,) * 4, safe_program=safe)
-    assert instruction_checks == {"normal": 2, "safe": 4}
-    replace(base, programs=(idle,) * 4, safe_program=safe + idle[:1])
-    assert instruction_checks == {"normal": 2, "safe": 5}  # Compute(1), now as safe code
+    assert counts == {"normal": 16, "safe": 4}  # one idle tuple for four blocks
+    longer = safe + idle[:1]
+    replace(base, programs=(idle,) * 4, safe_program=longer)
+    assert counts == {"normal": 16, "safe": 9}  # a new tuple, with Compute(1) now as safe code
+    replace(base, programs=(list(idle),) * 4, safe_program=longer)
+    assert counts == {"normal": 16 + 4 * 16, "safe": 9}  # a list is checked at each use
 
 
-def test_a_sweep_makes_as_many_instruction_checks_whatever_its_points(instruction_checks):
-    fault_sweep(3, 2, 1, 1)  # every masking point's instruction objects have passed by now
-    counts = []
+def test_a_sweep_point_checks_only_a_divergent_program_the_point_before_it_lacked(
+    instruction_checks,
+):
+    counts, checked = instruction_checks
+    fault_sweep(3, 2, 1, 1)  # every masking point's program objects have passed by now
+    counts.update(normal=0, safe=0)
     for pairs in (1, 2):
-        instruction_checks.update(normal=0, safe=0)
+        checked.clear()
         assert len(fault_sweep(3, 2, 1, pairs).points) == {1: 54, 2: 1026}[pairs]
-        counts.append(dict(instruction_checks))
-    assert counts[0] == counts[1] == {"normal": 0, "safe": 0}
+        assert checked and all(any(i is x for x in DIVERGENT_STREAM) for i in checked)
+    assert counts["normal"] == 0
 
 
 # -- sweep result plumbing ------------------------------------------------------------------
