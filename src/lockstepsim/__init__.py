@@ -51,8 +51,6 @@ from .monitor import (  # noqa: E402
     MoonConfig,
     MoonMode,
     SyncState,
-    VoteResult,
-    run_vote,
 )
 from .scenario import (  # noqa: E402
     ExternalTrigger,
@@ -120,8 +118,6 @@ __all__ = [
     "InvalidConfig",
     "LockstepMonitor",
     "SyncState",
-    "VoteResult",
-    "run_vote",
     # faults
     "FaultEngine",
     "FaultKind",

@@ -85,32 +85,6 @@ class SyncState(Enum):
     RELEASING = "releasing"
 
 
-@dataclass
-class VoteResult:
-    """Outcome of one compare-and-select cycle.
-
-    ``ports`` lists the enabled block ids in matrix order and ``inputs``
-    their transactions; ``selected`` is an index into them and is present
-    exactly when a real transaction was forwarded.  ``idle_majority`` marks a
-    winning absence class (bus kept idle, not a fault).  ``disagreement`` is
-    true when at least one port fell outside the winning class.
-    """
-
-    ports: List[int]
-    inputs: Sequence[Optional[BusTransaction]]
-    selected: Optional[int]
-    forwarded: Optional[BusTransaction]
-    idle_majority: bool = False
-    no_majority: bool = False
-    disagreement: bool = False
-
-    @property
-    def matrix(self) -> List[List[bool]]:
-        """The n x n compare matrix of the inputs, built when read: the vote
-        itself needs only each input's count of equals."""
-        return [[a == b for b in self.inputs] for a in self.inputs]
-
-
 def _winner(inputs: Sequence[Optional[BusTransaction]], m_agree: int) -> Tuple[Optional[int], int]:
     """The lowest port whose equality class reaches ``m_agree`` and the class's
     size, else ``(None, 0)``.  Absence (None) equals only absences; list.count
@@ -120,19 +94,6 @@ def _winner(inputs: Sequence[Optional[BusTransaction]], m_agree: int) -> Tuple[O
         if agree >= m_agree:
             return winner, agree
     return None, 0
-
-
-def run_vote(
-    inputs: Sequence[Optional[BusTransaction]], m_agree: int, ports: Optional[Sequence[int]] = None
-) -> VoteResult:
-    """Pure compare-and-select over one cycle's per-port inputs."""
-    winner, agree = _winner(inputs, m_agree)
-    fwd = None if winner is None else inputs[winner]
-    return VoteResult(
-        list(range(len(inputs)) if ports is None else ports), inputs,
-        None if fwd is None else winner, fwd, idle_majority=winner is not None and fwd is None,
-        no_majority=winner is None, disagreement=winner is None or agree < len(inputs),
-    )
 
 
 @dataclass

@@ -142,7 +142,8 @@ class Scenario:
         store("programs", tuple(map(tuple, self.programs)))
         for key in ("safe_program", "triggers"):
             store(key, tuple(getattr(self, key)))
-        faults = (f if f.program is None else replace(f, program=tuple(f.program)) for f in self.faults)
+        faults = (f if f.program is None or type(f.program) is tuple
+                  else replace(f, program=tuple(f.program)) for f in self.faults)
         store("faults", tuple(faults))
         if self.irq_latency is not None:
             store("irq_latency", tuple(self.irq_latency))

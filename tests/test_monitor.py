@@ -21,7 +21,6 @@ from lockstepsim import (
     SyncState,
     TriggerSource,
     TxKind,
-    run_vote,
 )
 from lockstepsim.trace import Trace
 
@@ -280,73 +279,83 @@ def test_monitor_is_reusable_after_release():
 # -- voter -------------------------------------------------------------------------------
 
 
+def vote_once(inputs, m_agree, members=None):
+    """One vote of a traced monitor whose members (block ids ``members``, by
+    default 0..n-1) hold ``inputs`` on their voted ports, None for none:
+    ``(answers, {kind: detail} of its events, masked_fault_cycles, bus)``."""
+    members = list(range(len(inputs))) if members is None else members
+    mon = monitor(n=len(inputs), m=m_agree)
+    request(mon, 1)
+    enter(mon, members, 2)
+    drain(mon)
+    mon.held.update((b, tx) for b, tx in zip(members, inputs) if tx is not None)
+    bus = MemoryMap()
+    answers = mon.vote(3, bus)
+    events = {kind: detail for _, _, kind, detail in drain(mon)}
+    return answers, events, mon.masked_fault_cycles, bus
+
+
 def test_unanimous_vote_forwards_without_disagreement():
-    result = run_vote([wtx(7), wtx(7), wtx(7)], m_agree=2)
-    assert result.selected == 0
-    assert result.forwarded == BusTransaction(TxKind.WRITE, 0x10000, 7)
-    assert not result.disagreement
-    assert not result.no_majority
-    assert not result.idle_majority
+    answers, events, masked, bus = vote_once([wtx(7), wtx(7), wtx(7)], m_agree=2)
+    assert events["forward"] == {"block": 0, "tx": wtx(7).short(), "response": 0}
+    assert "no_majority" not in events
+    assert masked == 0
+    assert answers == [(0, 0), (1, 0), (2, 0)]
+    assert bus.ls_ram == {0x10000: 7}
 
 
 def test_majority_with_disagreement_masks():
-    # matrix rows: 110 / 110 / 001
-    result = run_vote([wtx(7), wtx(7), wtx(5)], m_agree=2)
-    assert result.matrix == [
-        [True, True, False],
-        [True, True, False],
-        [False, False, True],
-    ]
-    assert result.selected == 0
-    assert result.disagreement
-    assert not result.no_majority
+    answers, events, masked, _ = vote_once([wtx(7), wtx(7), wtx(5)], m_agree=2)
+    assert events["vote"]["matrix"] == ["110", "110", "001"]
+    assert events["forward"]["block"] == 0
+    assert masked == 1
+    assert "no_majority" not in events
 
 
 def test_winner_is_lowest_port_of_the_winning_class():
-    result = run_vote([wtx(5), wtx(7), wtx(7)], m_agree=2)
-    assert result.selected == 1
-    assert result.forwarded.data == 7
+    _, events, _, bus = vote_once([wtx(5), wtx(7), wtx(7)], m_agree=2)
+    assert events["forward"]["block"] == 1
+    assert bus.ls_ram == {0x10000: 7}
 
 
 def test_pairwise_divergence_is_no_majority():
-    result = run_vote([wtx(1), wtx(2), wtx(3)], m_agree=2)
-    assert result.no_majority
-    assert result.disagreement
-    assert result.selected is None
-    assert result.forwarded is None
+    answers, events, masked, bus = vote_once([wtx(1), wtx(2), wtx(3)], m_agree=2)
+    assert events["no_majority"] == {"ports": [0, 1, 2]}
+    assert "forward" not in events
+    assert (answers, masked, bus.ls_ram) == ([], 0, {})
 
 
 def test_absence_equals_only_absence():
-    result = run_vote([None, wtx(7), None], m_agree=2)
-    assert result.idle_majority  # the absent class wins
-    assert result.selected is None
-    assert result.forwarded is None
-    assert result.disagreement  # port 1 fell outside the winning class
-    assert not result.no_majority
+    answers, events, masked, bus = vote_once([None, wtx(7), None], m_agree=2)
+    # the absent class wins: the voted bus stays idle, and that is no fault
+    assert events["vote"]["matrix"] == ["101", "010", "101"]
+    assert "forward" not in events and "no_majority" not in events
+    assert masked == 1  # port 1 fell outside the winning class
+    assert (answers, bus.ls_ram) == ([], {})
 
 
 def test_absent_winner_never_forwards_even_unanimously():
-    result = run_vote([None, None, None], m_agree=3)
-    assert result.idle_majority
-    assert not result.disagreement
-    assert result.forwarded is None
+    answers, events, masked, _ = vote_once([None, None, None], m_agree=3)
+    assert set(events) == {"vote"}
+    assert (answers, masked) == ([], 0)
 
 
 def test_ports_map_matrix_indices_to_block_ids():
-    result = run_vote([wtx(7), wtx(7)], m_agree=2, ports=[2, 4])
-    assert result.ports == [2, 4]
-    assert result.selected == 0
-    assert result.ports[result.selected] == 2
+    answers, events, _, _ = vote_once([wtx(7), wtx(7)], m_agree=2, members=[2, 4])
+    assert events["vote"] == {"ports": [2, 4], "matrix": ["11", "11"]}
+    assert events["forward"]["block"] == 2  # matrix index 0
+    assert answers == [(2, 0), (4, 0)]
 
 
 def test_vote_matrix_symmetry_small():
-    pool = [wtx(1), wtx(2), None]
+    # flipped transactions are equal but not identical: the matrix compares by value
+    pool = [wtx(1), wtx(2), None, wtx(1)]
     for inputs in itertools.product(pool, repeat=3):
-        result = run_vote(list(inputs), m_agree=2)
+        matrix = vote_once(list(inputs), m_agree=2)[1]["vote"]["matrix"]
         for i in range(3):
-            assert result.matrix[i][i]
+            assert matrix[i][i] == "1"
             for j in range(3):
-                assert result.matrix[i][j] == result.matrix[j][i]
+                assert matrix[i][j] == matrix[j][i] == "01"[inputs[i] == inputs[j]]
 
 
 def test_vote_records_no_majority_cycle_for_observer():

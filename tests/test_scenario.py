@@ -497,8 +497,11 @@ def test_sequence_fields_are_tuples():
         s.programs[0][0] = Halt()
     with pytest.raises(TypeError):
         bundled("fig5.scn").programs[0][0] = Halt()
-    divergent = FaultSpec(target=0, kind=FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[])
-    assert build_masking_scenario(3, 3, 2, faults=[divergent]).faults[0].program == ()
+    listed = FaultSpec(0, FaultKind.DIVERGENT_PROGRAM, at_safe_instr=0, program=[Compute(1)])
+    tupled = replace(listed, target=1, program=(Compute(1),))
+    faults = build_masking_scenario(3, 3, 2, faults=[listed, tupled]).faults
+    assert type(faults[0].program) is tuple and faults[0].program == (Compute(1),)
+    assert faults[1] is tupled  # a fault whose program is a tuple is kept, not rebuilt
 
 
 def test_an_integer_noise_probability_is_stored_as_a_float():

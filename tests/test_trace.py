@@ -25,7 +25,6 @@ from lockstepsim.trace import (
     Trace,
     audit_system_path,
     entity_order,
-    system_state_path,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "lockstepsim" / "scenarios"
@@ -198,7 +197,7 @@ def test_empty_trace_audits_to_no_sessions():
 
 
 def test_fig5_system_path():
-    assert system_state_path(fig5_report().trace) == [
+    assert audit_system_path(fig5_report().trace) == [
         "boot",
         "normal_processing",
         "synchronizing",
