@@ -53,15 +53,7 @@ class TriggerSource(Enum):
     EXTERNAL_OUT_OF_SCOPE = "external_out_of_scope"
 
 
-# Sources a program's trigger instruction may cite vs. the scenario schedule.
-PROGRAM_SOURCES = frozenset(
-    {
-        TriggerSource.MONITOR_TIMED,
-        TriggerSource.MONITOR_TRIGGERED,
-        TriggerSource.APP_TIMED,
-        TriggerSource.APP_TRIGGERED,
-    }
-)
+# the sources the scenario's trigger schedule cites; a program cites the others
 EXTERNAL_SOURCES = frozenset(
     {TriggerSource.EXTERNAL_IN_SCOPE, TriggerSource.EXTERNAL_OUT_OF_SCOPE}
 )

@@ -399,7 +399,7 @@ def run(
         sessions=[
             dict(vars(s), accepted=list(s.accepted), rejected=list(s.rejected)) for s in sessions
         ],
-        sessions_completed=sum(s.outcome == "completed" for s in sessions),
+        sessions_completed=sum(s.completed for s in sessions),
         accepted=sum(len(s.accepted) for s in sessions),
         rejected=world.monitor.rejected,
         masked_fault_cycles=world.monitor.masked_fault_cycles,

@@ -44,15 +44,9 @@ class FaultKind(Enum):
     START_JITTER = "start_jitter"
 
 
-# kinds whose window may name a safe-program instruction
-INSTRUCTION_WINDOW_KINDS = frozenset(
-    {
-        FaultKind.BIT_FLIP_DATA,
-        FaultKind.BIT_FLIP_ADDRESS,
-        FaultKind.DIVERGENT_PROGRAM,
-        FaultKind.STUCK_SILENT,
-    }
-)
+# kinds whose window may name a safe-program instruction: all but the two
+# that act before lockstep
+INSTRUCTION_WINDOW_KINDS = frozenset(FaultKind) - {FaultKind.NO_SHOW, FaultKind.START_JITTER}
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ cycles in which a port disagreed and a majority still won.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bus import LOCKSTEP_SYNC_ADDRESS, BusTransaction, MemoryMap, UnmappedAddress
-from .trace import Trace
+from .trace import SessionRecord, Trace
 
 Answers = List[Tuple[int, int]]  # (block id, response) pairs
 
@@ -94,22 +94,6 @@ def _winner(inputs: Sequence[Optional[BusTransaction]], m_agree: int) -> Tuple[O
         if agree >= m_agree:
             return winner, agree
     return None, 0
-
-
-@dataclass
-class SessionRecord:
-    """One session from its request on.  ``rejected`` lists the sync reads
-    turned away while the session is open: the same-cycle surplus at
-    admission and readers arriving during lockstep or release, not readers
-    arriving after it ended.  ``outcome`` stays "incomplete" until release
-    completes the session or an availability error names its failure."""
-
-    gather_cycle: int
-    lockstep_cycle: Optional[int] = None
-    release_cycle: Optional[int] = None
-    accepted: List[int] = field(default_factory=list)
-    rejected: List[int] = field(default_factory=list)
-    outcome: str = "incomplete"
 
 
 class LockstepMonitor:

@@ -23,7 +23,6 @@ import yaml
 
 from .block import (
     EXTERNAL_SOURCES,
-    PROGRAM_SOURCES,
     Compute,
     Halt,
     Instruction,
@@ -159,56 +158,47 @@ class Scenario:
 # -- instruction text ----------------------------------------------------------
 
 
+# each mnemonic's class, whose fields are its operands in order: a ``source``
+# is a trigger source's value, an ``address`` is written in hex, and every
+# other operand is an integer
+MNEMONICS = {"compute": Compute, "read": Read, "write": Write, "trigger_sp": TriggerSP,
+             "halt": Halt}
+# each class's mnemonic and operand names
+_FORMS = {cls: (op, [f.name for f in fields(cls)]) for op, cls in MNEMONICS.items()}
+
+
 def parse_instruction(text: str, where: str) -> Instruction:
     parts = text.split()
     if not parts:
         raise ValidationError(where, "empty instruction")
-    op, args = parts[0], parts[1:]
-
-    def num(s: str, what: str) -> int:
+    op, *args = parts
+    cls = MNEMONICS.get(op)
+    if cls is None:
+        raise ValidationError(where, f"unknown instruction: {op!r}")
+    names = _FORMS[cls][1]
+    if len(args) != len(names):
+        wanted = f"one {names[0]}" if len(names) == 1 else " and ".join(names) or "no arguments"
+        raise ValidationError(where, f"{op} takes {wanted}")
+    for i, name in enumerate(names):  # each word becomes its operand's value
         try:
-            return int(s, 0)
+            args[i] = TriggerSource(args[i]) if name == "source" else int(args[i], 0)
         except ValueError:
-            raise ValidationError(where, f"bad {what}: {s!r}") from None
-
-    if op == "compute":
-        if len(args) != 1:
-            raise ValidationError(where, "compute takes one duration")
-        return Compute(num(args[0], "duration"))
-    if op == "read":
-        if len(args) != 1:
-            raise ValidationError(where, "read takes one address")
-        return Read(num(args[0], "address"))
-    if op == "write":
-        if len(args) != 2:
-            raise ValidationError(where, "write takes address and data")
-        return Write(num(args[0], "address"), num(args[1], "data"))
-    if op == "trigger_sp":
-        if len(args) != 1:
-            raise ValidationError(where, "trigger_sp takes one source")
-        try:
-            return TriggerSP(TriggerSource(args[0]))
-        except ValueError:
-            raise ValidationError(where, f"unknown trigger source: {args[0]!r}") from None
-    if op == "halt":
-        if args:
-            raise ValidationError(where, "halt takes no arguments")
-        return Halt()
-    raise ValidationError(where, f"unknown instruction: {op!r}")
+            what = "unknown trigger source" if name == "source" else f"bad {name}"
+            raise ValidationError(where, f"{what}: {args[i]!r}") from None
+    return cls(*args)
 
 
 def format_instruction(instr: Instruction) -> str:
-    if isinstance(instr, Compute):
-        return f"compute {instr.duration}"
-    if isinstance(instr, Read):
-        return f"read 0x{instr.address:X}"
-    if isinstance(instr, Write):
-        return f"write 0x{instr.address:X} {instr.data}"
-    if isinstance(instr, TriggerSP):
-        return f"trigger_sp {instr.source.value}"
-    if isinstance(instr, Halt):
-        return "halt"
-    raise TypeError(f"unknown instruction {instr!r}")
+    form = _FORMS.get(type(instr))
+    if form is None:
+        raise TypeError(f"unknown instruction {instr!r}")
+    op, names = form
+    words = [op]
+    for name in names:
+        value = getattr(instr, name)
+        words.append(value.value if name == "source" else f"0x{value:X}" if name == "address"
+                     else str(value))
+    return " ".join(words)
 
 
 # -- loading -------------------------------------------------------------------
@@ -414,22 +404,18 @@ def _instance(value, cls: type, where: str):
     return value
 
 
-# the integer operands of each instruction
-_OPERANDS = {
-    cls: [f.name for f in fields(cls) if f.name != "source"] for cls in Instruction.__args__
-}
-
-
 def _check_instruction(instr):
     """What normal and safe code share: an instruction whose operands are
     integers, a trigger's source a member, and a compute at least 1 long.
     The instruction checks name field paths relative to the instruction."""
-    if type(instr) not in _OPERANDS:
+    form = _FORMS.get(type(instr))
+    if form is None:
         raise ValidationError("", f"expected instruction, got {instr!r}")
-    for name in _OPERANDS[type(instr)]:
-        check_int(getattr(instr, name), f".{name}")
-    if isinstance(instr, TriggerSP) and not isinstance(instr.source, TriggerSource):
-        raise ValidationError("", f"unknown trigger source: {instr.source!r}")
+    for name in form[1]:
+        if name != "source":
+            check_int(getattr(instr, name), f".{name}")
+        elif not isinstance(instr.source, TriggerSource):
+            raise ValidationError("", f"unknown trigger source: {instr.source!r}")
     if isinstance(instr, Compute) and instr.duration < 1:
         raise ValidationError("", "compute duration must be >= 1")
 
@@ -446,7 +432,7 @@ def _check_normal_instruction(instr: Instruction):
             )
     if isinstance(instr, Write) and not (0 <= instr.data <= WORD_MASK):
         raise ValidationError("", "data must fit in 32 bits")
-    if isinstance(instr, TriggerSP) and instr.source not in PROGRAM_SOURCES:
+    if isinstance(instr, TriggerSP) and instr.source in EXTERNAL_SOURCES:
         raise ValidationError(
             "", f"programs may not cite external trigger source {instr.source.value}"
         )

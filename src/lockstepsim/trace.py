@@ -61,15 +61,6 @@ class TraceEvent:
     def sort_key(self) -> Tuple[int, int, int]:
         return (self.cycle, self.phase, entity_order(self.entity))
 
-    def to_record(self) -> Dict:
-        return {
-            "cycle": self.cycle,
-            "phase": self.phase,
-            "entity": self.entity,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
-
 
 class Trace(list):
     """The one sink of a run's events: the world, its blocks, its monitor and
@@ -107,30 +98,28 @@ def audit_event_order(events: Iterable[TraceEvent]) -> None:
         prev = key
 
 
+# canonical JSON: sorted keys, no spaces
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def emit_trace(events: List[TraceEvent], fmt: str = "jsonl") -> bytes:
     """Serialize to line-delimited JSON or a CSV table (detail as canonical
     JSON in the last column).  Empty event lists yield the bare header (csv)
     or nothing (jsonl)."""
     if fmt == "jsonl":
         lines = [
-            json.dumps(ev.to_record(), sort_keys=True, separators=(",", ":"))
+            f'{{"cycle":{ev.cycle},"detail":{_encode(ev.detail)},"entity":{_encode(ev.entity)},'
+            f'"kind":{_encode(ev.kind)},"phase":{ev.phase}}}\n'
             for ev in events
         ]
-        return ("\n".join(lines) + ("\n" if lines else "")).encode("ascii")
+        return "".join(lines).encode("ascii")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["cycle", "phase", "entity", "kind", "detail"])
-        for ev in events:
-            writer.writerow(
-                [
-                    ev.cycle,
-                    ev.phase,
-                    str(ev.entity),
-                    ev.kind,
-                    json.dumps(ev.detail, sort_keys=True, separators=(",", ":")),
-                ]
-            )
+        writer.writerows(
+            [ev.cycle, ev.phase, str(ev.entity), ev.kind, _encode(ev.detail)] for ev in events
+        )
         return buf.getvalue().encode("ascii")
     raise ValueError(f"unknown trace format: {fmt!r}")
 
@@ -143,26 +132,41 @@ def write_trace(events: List[TraceEvent], path: str, fmt: str = "jsonl") -> None
         raise IOFailure(f"cannot write trace to {path}: {exc}") from exc
 
 
-# -- audits used by tests and the sweep runner --------------------------------
-
-
 @dataclass
-class SessionAudit:
+class SessionRecord:
+    """One session from its request on.  ``rejected`` lists the sync reads
+    turned away while the session is open: the same-cycle surplus at
+    admission and readers arriving during lockstep or release, not readers
+    arriving after it ended.  ``outcome`` stays "incomplete" until release
+    completes the session or an availability error names its failure.  The
+    monitor keeps one per session, and ``audit_sessions`` rebuilds them."""
+
     gather_cycle: int
     lockstep_cycle: Optional[int] = None
     release_cycle: Optional[int] = None
     accepted: List[int] = field(default_factory=list)
     rejected: List[int] = field(default_factory=list)
-    sync_reads: Counter = field(default_factory=Counter)
-    exit_reads: Counter = field(default_factory=Counter)
+    outcome: str = "incomplete"
 
     @property
     def completed(self) -> bool:
-        return self.release_cycle is not None
+        return self.outcome == "completed"
+
+
+# -- audits, used by the tests and the benchmark's oracles ---------------------
+
+
+@dataclass
+class SessionAudit(SessionRecord):
+    """A session record rebuilt from a trace, with each block's sync and
+    exit reads of the synchronization register."""
+
+    sync_reads: Counter = field(default_factory=Counter)
+    exit_reads: Counter = field(default_factory=Counter)
 
 
 def audit_sessions(events: List[TraceEvent]) -> List[SessionAudit]:
-    """Reconstruct sessions from a trace: membership, rejections and the
+    """Rebuild the session records from a trace, outcomes included, with the
     per-block counts of synchronization-register reads.  A sync read traced
     in phase 3 of the cycle whose phase 4 opens a session is gathered by it."""
     sessions: List[SessionAudit] = []
@@ -180,6 +184,7 @@ def audit_sessions(events: List[TraceEvent]) -> List[SessionAudit]:
                 current.lockstep_cycle = ev.cycle
             elif to == "idle" and current is not None:
                 current.release_cycle = ev.cycle
+                current.outcome = "completed"
                 current = None
         elif ev.kind == "sync_read":
             if current is None:
@@ -193,6 +198,8 @@ def audit_sessions(events: List[TraceEvent]) -> List[SessionAudit]:
                 current.accepted.append(ev.detail["block"])
             elif ev.kind == "reject":
                 current.rejected.append(ev.detail["block"])
+            elif ev.kind == "availability_error":
+                current.outcome = ev.detail["reason"]
     return sessions
 
 

@@ -4,9 +4,10 @@ Every scenario the trace-identity corpus draws from ``random_scenario``, and
 its widened ``wide_scenario`` variant, is run with the trace on and off, and
 each run must keep the protocol's invariants: events in order, only allowed
 system-state arcs, a report that does not depend on the trace, counters that
-agree with the session records and the trace, reject contexts from the three
-the monitor gives, exit reads only from members of the open session, and the
-sync-register read counts of every completed session.  Runs the identity
+agree with the session records and the trace, session records the trace
+rebuilds field for field, reject contexts from the three the monitor gives,
+exit reads only from members of the open session, and the sync-register
+read counts of every completed session.  Runs the identity
 corpus leaves out (a corrupted address its bus cannot serve) are skipped.
 Every point of a 2-of-3 fault sweep with pairs keeps the same invariants.
 
@@ -21,13 +22,15 @@ the traced ``run()``.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 import lockstepsim.sweep
 from generated import random_scenario, run_unless_unmapped, wide_scenario
 from lockstepsim import SystemState, UnmappedAddress, World, audit_event_order, audit_sessions, run
 from lockstepsim.sweep import fault_sweep
-from lockstepsim.trace import audit_system_path
+from lockstepsim.trace import SessionRecord, audit_system_path
 
 
 @pytest.mark.parametrize("index", range(200))
@@ -90,7 +93,12 @@ def check_invariants(scenario, rejected_once):
         elif e.kind == "exit_read":
             assert int(e.entity) in members, e
 
-    for session in audit_sessions(trace):
+    # the trace rebuilds every session record, outcome included
+    audit = audit_sessions(trace)
+    record_fields = [f.name for f in fields(SessionRecord)]
+    assert [{key: getattr(s, key) for key in record_fields} for s in audit] == report.sessions
+
+    for session in audit:
         if not session.completed:
             continue
         for b in session.accepted:
